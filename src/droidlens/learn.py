@@ -311,37 +311,38 @@ def _leaf(y: np.ndarray) -> dict:
 def _best_split(X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
     """(decrease, feature, threshold) of the best candidate, or None.
 
-    Ties break to the lowest feature index, then the lowest threshold;
-    scanning features in ascending order with strict improvement and
-    first-occurrence argmax realizes exactly that.
+    Every threshold is searched exactly: the midpoint between each pair
+    of adjacent distinct values, with no binning.  All candidate
+    features are sorted and scored at once, one row per feature, and
+    only boundaries between distinct values are scored.  The boundaries
+    are listed feature by feature (``feature_ids`` ascending), then by
+    position, so a first-occurrence argmax breaks ties to the lowest
+    feature index, then the lowest threshold.  None when every
+    candidate column is constant.
     """
     n = y.size
     total1 = int((y == 1).sum())
     parent = _gini(np.array([n - total1, total1]))
-    best = None
-    for f in feature_ids:
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[order]
-        boundaries = np.flatnonzero(sv[:-1] < sv[1:])
-        if boundaries.size == 0:
-            continue
-        cum1 = np.cumsum(sy)
-        nl = boundaries + 1.0
-        nr = n - nl
-        l1 = cum1[boundaries].astype(np.float64)
-        l0 = nl - l1
-        r1 = total1 - l1
-        r0 = nr - r1
-        gini_l = 1.0 - ((l0 / nl) ** 2 + (l1 / nl) ** 2)
-        gini_r = 1.0 - ((r0 / nr) ** 2 + (r1 / nr) ** 2)
-        decrease = parent - (nl / n) * gini_l - (nr / n) * gini_r
-        pos = int(np.argmax(decrease))
-        if best is None or decrease[pos] > best[0]:
-            threshold = (sv[boundaries[pos]] + sv[boundaries[pos] + 1]) / 2.0
-            best = (float(decrease[pos]), int(f), float(threshold))
-    return best
+    sub = X.T[feature_ids]
+    order = np.argsort(sub, axis=1, kind="stable")
+    sv = np.take_along_axis(sub, order, axis=1)
+    rows, boundaries = np.nonzero(sv[:, :-1] < sv[:, 1:])
+    if boundaries.size == 0:
+        return None
+    cum1 = np.cumsum(y[order], axis=1)
+    nl = boundaries + 1.0
+    nr = n - nl
+    l1 = cum1[rows, boundaries].astype(np.float64)
+    l0 = nl - l1
+    r1 = total1 - l1
+    r0 = nr - r1
+    gini_l = 1.0 - ((l0 / nl) ** 2 + (l1 / nl) ** 2)
+    gini_r = 1.0 - ((r0 / nr) ** 2 + (r1 / nr) ** 2)
+    decrease = parent - (nl / n) * gini_l - (nr / n) * gini_r
+    best = int(np.argmax(decrease))
+    row, pos = rows[best], boundaries[best]
+    threshold = (sv[row, pos] + sv[row, pos + 1]) / 2.0
+    return float(decrease[best]), int(feature_ids[row]), float(threshold)
 
 
 def _grow_tree(
@@ -407,16 +408,15 @@ def _fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dic
         mtry = max(1, int(math.isqrt(d)))
     if not 1 <= mtry <= d:
         raise LearnError(f"mtry must be in [1, {d}], got {mtry}")
+    n_trees = int(hp["n_trees"])
+    if n_trees < 1:
+        raise LearnError(f"n_trees must be at least 1, got {n_trees}")
     trees = []
-    for t in range(int(hp["n_trees"])):
+    for t in range(n_trees):
         rng = derive_rng(seed, "tree", t)
         rows = rng.integers(0, n, size=n)
-        bx, by = X[rows], y[rows]
-        if (by == by[0]).all():
-            trees.append({"leaf": int(by[0])})
-            continue
         trees.append(
-            _grow_tree(bx, by, 0, hp["max_depth"], hp["min_samples_split"], mtry, rng)
+            _grow_tree(X[rows], y[rows], 0, hp["max_depth"], hp["min_samples_split"], mtry, rng)
         )
     return {"trees": trees, "mtry": mtry}
 

@@ -1,8 +1,9 @@
 """SMOTE and the five classifiers.
 
 Oracles: a segment-membership residual check for SMOTE synthetics, a
-hand-written Gaussian posterior for naive Bayes, and an exhaustive
-split check for the XOR tree.
+hand-written Gaussian posterior for naive Bayes, an exhaustive split
+check for the XOR tree, and a one-feature-at-a-time CART split search
+that the vectorised one must match exactly.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from droidlens import learn
 from droidlens.dataset import Dataset
 from droidlens.errors import LearnError
 from droidlens.learn import (
@@ -64,6 +66,38 @@ def nb_posterior_oracle(x, priors, means, variances):
             lp += -0.5 * math.log(2 * math.pi * v) - (x[j] - means[c][j]) ** 2 / (2 * v)
         post.append(lp)
     return post
+
+
+def _reference_best_split(X, y, feature_ids):
+    """CART split search one feature at a time: ascending features,
+    strict improvement, first-occurrence argmax within a feature."""
+    n = y.size
+    total1 = int((y == 1).sum())
+    parent = learn._gini(np.array([n - total1, total1]))
+    best = None
+    for f in feature_ids:
+        values = X[:, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        sy = y[order]
+        boundaries = np.flatnonzero(sv[:-1] < sv[1:])
+        if boundaries.size == 0:
+            continue
+        cum1 = np.cumsum(sy)
+        nl = boundaries + 1.0
+        nr = n - nl
+        l1 = cum1[boundaries].astype(np.float64)
+        l0 = nl - l1
+        r1 = total1 - l1
+        r0 = nr - r1
+        gini_l = 1.0 - ((l0 / nl) ** 2 + (l1 / nl) ** 2)
+        gini_r = 1.0 - ((r0 / nr) ** 2 + (r1 / nr) ** 2)
+        decrease = parent - (nl / n) * gini_l - (nr / n) * gini_r
+        pos = int(np.argmax(decrease))
+        if best is None or decrease[pos] > best[0]:
+            threshold = (sv[boundaries[pos]] + sv[boundaries[pos] + 1]) / 2.0
+            best = (float(decrease[pos]), int(f), float(threshold))
+    return best
 
 
 # --- SMOTE --------------------------------------------------------------------
@@ -267,6 +301,64 @@ def test_vote_tie_breaks_to_benign():
         kind="random_forest", params={"trees": [t0, t1], "mtry": 1, "dim": 1}
     )
     assert predict(model, np.array([0.0])) == 0
+
+
+@st.composite
+def split_problems(draw):
+    """Small integer matrices with 1-3 levels per column, so tied values
+    and constant columns are common, plus a sorted feature subset."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    d = draw(st.integers(min_value=1, max_value=6))
+    columns = []
+    for _ in range(d):
+        levels = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+        columns.append(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    feature_ids = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    return (
+        np.array(columns, dtype=np.float64).T,
+        np.array(y, dtype=np.int64),
+        np.array(feature_ids, dtype=np.int64),
+    )
+
+
+@given(problem=split_problems())
+@settings(max_examples=300, deadline=None)
+def test_best_split_matches_reference(problem):
+    X, y, feature_ids = problem
+    assert learn._best_split(X, y, feature_ids) == _reference_best_split(X, y, feature_ids)
+
+
+def test_best_split_none_when_every_column_constant():
+    X = np.array([[2.0, 0.0, 7.0]] * 5)
+    y = np.array([0, 1, 1, 0, 1])
+    feature_ids = np.arange(3)
+    assert _reference_best_split(X, y, feature_ids) is None
+    assert learn._best_split(X, y, feature_ids) is None
+
+
+def test_trees_identical_to_reference_split(monkeypatch):
+    # Sparse counts: many columns are constant within a node, so some
+    # forest nodes take the mtry fallback to all features (19 here).
+    rng = np.random.default_rng(12)
+    rates = rng.gamma(0.1, 1.0, size=(2, 36))
+    y = rng.integers(0, 2, 60)
+    ds = make_ds(rng.poisson(rates[y]), y)
+    for kind, hp in (("decision_tree", {}), ("random_forest", {"n_trees": 10})):
+        spec = ClassifierSpec(kind=kind, hyperparameters=hp, seed=5)
+        shipped = fit(spec, ds)
+        with monkeypatch.context() as patched:
+            patched.setattr(learn, "_best_split", _reference_best_split)
+            reference = fit(spec, ds)
+        assert shipped.params == reference.params
+
+
+@pytest.mark.parametrize("n_trees", [0, -3])
+def test_rf_rejects_n_trees_below_one(n_trees):
+    ds = make_ds([[0.0], [1.0], [2.0], [3.0]], [1, 1, 1, 0])
+    spec = ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": n_trees})
+    with pytest.raises(LearnError, match="n_trees must be at least 1"):
+        fit(spec, ds)
 
 
 def test_nb_zero_variance_feature_floored():
