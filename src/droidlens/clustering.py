@@ -46,19 +46,36 @@ def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _exact_dists(X: np.ndarray, chunk: int = 256) -> np.ndarray:
+_TILE_ELEMENTS = 1 << 16
+
+
+def exact_distances(X: np.ndarray, *, tile: int | None = None) -> np.ndarray:
     """n×n Euclidean distances by direct differences.
 
     Slower than the expanded form but free of its cancellation error;
     the validity indices are tested against oracles at 1e-9 relative,
     which the expanded form cannot hold for near-coincident points.
+
+    The matrix is filled in tile×tile blocks on or above the diagonal,
+    each mirrored into the lower triangle; (x-y)^2 == (y-x)^2 exactly,
+    so the result is symmetric bit for bit with a zero diagonal.  The
+    default tile keeps one tile×tile×d difference block near 2^16
+    floats, so memory is the n^2 output plus one cache-sized block.
+    Every entry reduces its d squared gaps in the same order whatever
+    the tile, so entries do not depend on it.
     """
-    n = X.shape[0]
+    n, d = X.shape
+    if tile is None:
+        tile = max(1, math.isqrt(_TILE_ELEMENTS // max(d, 1)))
     out = np.empty((n, n))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        gap = X[start:stop, None, :] - X[None, :, :]
-        out[start:stop] = np.sqrt((gap * gap).sum(axis=2))
+    for r0 in range(0, n, tile):
+        rows = X[r0 : r0 + tile, None, :]
+        for c0 in range(r0, n, tile):
+            gap = rows - X[None, c0 : c0 + tile, :]
+            np.multiply(gap, gap, out=gap)
+            block = np.sqrt(gap.sum(axis=2))
+            out[r0 : r0 + tile, c0 : c0 + tile] = block
+            out[c0 : c0 + tile, r0 : r0 + tile] = block.T
     return out
 
 
@@ -690,11 +707,21 @@ def calinski_harabasz(X, assignment: Assignment) -> float:
     return (between / (k - 1)) / (within / (n - k))
 
 
-def silhouette(X, assignment: Assignment) -> float:
+def silhouette(X, assignment: Assignment, dist: np.ndarray | None = None) -> float:
     """Mean silhouette over non-noise points; singleton clusters
-    contribute 0 by convention.  Exact O(n^2) distances."""
+    contribute 0 by convention.  Exact O(n^2) distances.
+
+    ``dist`` may carry ``exact_distances(X)`` for all of X's rows, noise
+    included, so callers scoring many partitions of one X compute it
+    once; without it the matrix is computed here.
+    """
     X = _as_matrix(X)
     labels = _validated_partition(X, assignment, allow_noise=True)
+    if dist is not None and dist.shape != (X.shape[0], X.shape[0]):
+        raise ClusterError(
+            f"distance matrix has shape {dist.shape}, expected "
+            f"{X.shape[0]}x{X.shape[0]} for X's rows"
+        )
     keep = labels != -1
     excluded = int((~keep).sum())
     if excluded:
@@ -702,27 +729,31 @@ def silhouette(X, assignment: Assignment) -> float:
             "silhouette: excluding %d noise points (%.1f%% of %d rows)",
             excluded, 100.0 * excluded / labels.size, labels.size,
         )
-    X = X[keep]
-    labels = labels[keep]
+        X = X[keep]
+        labels = labels[keep]
+        if dist is not None:
+            dist = dist[np.ix_(keep, keep)]
     n = X.shape[0]
-    uniq = np.unique(labels)
+    uniq, own = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ClusterError(f"silhouette needs at least 2 clusters, got {uniq.size}")
-    counts = {int(c): int((labels == c).sum()) for c in uniq}
-    if all(v == 1 for v in counts.values()):
+    counts = np.bincount(own)
+    if (counts == 1).all():
         raise ClusterError("all clusters are singletons; silhouette undefined")
     if uniq.size > n - 1:
         raise ClusterError(f"silhouette needs k <= n-1, got k={uniq.size}, n={n}")
 
-    dist = _exact_dists(X)
-    scores = np.zeros(n)
-    sums = {int(c): dist[:, labels == c].sum(axis=1) for c in uniq}
-    for i in range(n):
-        own = int(labels[i])
-        if counts[own] == 1:
-            continue  # convention: s = 0
-        a = sums[own][i] / (counts[own] - 1)
-        b = min(sums[int(c)][i] / counts[int(c)] for c in uniq if int(c) != own)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    if dist is None:
+        dist = exact_distances(X)
+    sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)
+    rows = np.arange(n)
+    own_size = counts[own]
+    means = sums / counts
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singletons: 0/0
+        a = sums[rows, own] / (own_size - 1)
+        denom = np.maximum(a, b)
+        scores = (b - a) / denom
+    scores[(own_size == 1) | (denom == 0.0)] = 0.0  # convention: s = 0
     return float(scores.mean())

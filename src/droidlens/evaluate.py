@@ -27,6 +27,7 @@ from .clustering import (
     birch,
     calinski_harabasz,
     dbscan,
+    exact_distances,
     gmm,
     kmeans,
     silhouette,
@@ -400,7 +401,8 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
 
     Returns one ComparisonRow per (algorithm, parameter); the winner
     (max Calinski-Harabasz, ties broken by silhouette) is flagged.
-    Undefined scores are carried as None.
+    Undefined scores are carried as None.  Every row's silhouette reads
+    one exact distance matrix, computed when the first row needs it.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -419,6 +421,7 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
         std = X.std(axis=0)
         X = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
     rows: list[ComparisonRow] = []
+    dist = None
     for algorithm in ALGORITHM_NAMES:
         label = "eps" if algorithm == "dbscan" else "k"
         for param in grids[algorithm]:
@@ -434,8 +437,10 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
                 ch = calinski_harabasz(X, assignment)
             except ClusterError:
                 ch = None
+            if dist is None:
+                dist = exact_distances(X)
             try:
-                sil = silhouette(X, assignment)
+                sil = silhouette(X, assignment, dist=dist)
             except ClusterError:
                 sil = None
             rows.append(ComparisonRow(algorithm, parameter, found, ch, sil))

@@ -23,6 +23,7 @@ from droidlens.clustering import (
     birch,
     calinski_harabasz,
     dbscan,
+    exact_distances,
     gmm,
     kmeans,
     silhouette,
@@ -537,6 +538,18 @@ def test_gmm_errors():
 # --- Validity indices ----------------------------------------------------------
 
 
+def _reference_exact_dists(X, chunk=256):
+    """The row-chunked form exact_distances replaced: chunk×n×d
+    difference tensors, every entry computed independently."""
+    n = X.shape[0]
+    out = np.empty((n, n))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        gap = X[start:stop, None, :] - X[None, :, :]
+        out[start:stop] = np.sqrt((gap * gap).sum(axis=2))
+    return out
+
+
 def test_ch_worked_example_exact():
     assert calinski_harabasz(FOUR_POINTS, AABB) == 200.0
     assert oracle_ch(FOUR_POINTS.tolist(), [0, 0, 1, 1]) == 200.0
@@ -585,6 +598,68 @@ def test_silhouette_errors():
     X = np.array([[0.0], [5.0], [9.0]])
     with pytest.raises(ClusterError):
         silhouette(X, Assignment(labels=(0, 1, 2), k=3))  # all singletons
+
+
+def test_silhouette_rejects_misshapen_dist():
+    X = np.array([[0.0], [1.0], [10.0], [11.0], [500.0]])
+    noisy = Assignment(labels=(0, 0, 1, 1, -1), k=2)
+    with pytest.raises(ClusterError, match="distance matrix"):
+        silhouette(X, noisy, dist=np.zeros((5, 4)))
+    # The matrix covers X's rows before the noise filter, not after it.
+    with pytest.raises(ClusterError, match="distance matrix"):
+        silhouette(X, noisy, dist=exact_distances(X[:4]))
+    assert silhouette(X, noisy, dist=exact_distances(X)) == silhouette(X, noisy)
+
+
+def test_silhouette_with_dist_matches_without():
+    rng = np.random.default_rng(77)
+    for trial in range(200):
+        n = int(rng.integers(4, 40))
+        d = int(rng.integers(1, 12))
+        X = rng.integers(0, 3, (n, d)).astype(float) if trial % 2 else rng.normal(0, 5, (n, d))
+        k = int(rng.integers(2, 6))
+        labels = rng.integers(-1 if trial % 3 == 0 else 0, k, size=n)
+        present = sorted(set(labels.tolist()) - {-1})
+        if len(present) < 2:
+            continue
+        remap = {c: i for i, c in enumerate(present)}
+        assign = Assignment(labels=tuple(remap.get(int(v), -1) for v in labels), k=len(present))
+        try:
+            want = silhouette(X, assign)
+        except ClusterError:
+            with pytest.raises(ClusterError):
+                silhouette(X, assign, dist=exact_distances(X))
+            continue
+        assert silhouette(X, assign, dist=exact_distances(X)) == want
+        if (labels != -1).all():
+            assert want == pytest.approx(
+                oracle_silhouette(X.tolist(), list(assign.labels)), rel=1e-9, abs=1e-12
+            )
+
+
+@st.composite
+def _distance_problems(draw):
+    n = draw(st.integers(1, 70))
+    d = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, d))
+    if n > 1 and draw(st.booleans()):
+        # Near-coincident rows: where the expanded form cancels badly.
+        twins = rng.integers(0, n, size=n // 2 + 1)
+        X[twins] = X[0] + rng.choice([-1e-9, 0.0, 1e-9], size=(twins.size, d))
+    tile = draw(st.one_of(st.none(), st.integers(1, 9)))
+    return X, tile
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distance_problems())
+def test_exact_distances_match_reference_bit_for_bit(problem):
+    X, tile = problem
+    got = exact_distances(X, tile=tile)
+    assert np.array_equal(got, _reference_exact_dists(X))
+    assert np.array_equal(got, got.T)
+    assert not got.diagonal().any()
 
 
 def _random_partition(rng, n, k):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from droidlens.errors import EvalError
+from droidlens import clustering, evaluate
+from droidlens.errors import ClusterError, EvalError
 from droidlens.evaluate import (
     UNDEFINED,
     ComparisonRow,
@@ -412,6 +413,45 @@ def test_comparison_standardize_changes_dbscan_scale():
     )
     assert next(r for r in raw if r.algorithm == "dbscan").n_clusters == 2
     assert next(r for r in std if r.algorithm == "dbscan").n_clusters == 1
+
+
+def test_comparison_shares_one_distance_matrix(monkeypatch):
+    ds = four_blob_dataset(3, per=12)
+    outliers = [[55.0, 40.0], [-60.0, 10.0], [105.0, -30.0]]
+    X = np.vstack([ds.features, outliers])
+    built, scored = [], []
+
+    def counting_distances(Z):
+        built.append(clustering.exact_distances(Z))
+        return built[-1]
+
+    def recording_silhouette(Z, assignment, dist=None):
+        scored.append((Z, assignment, dist))
+        return clustering.silhouette(Z, assignment, dist=dist)
+
+    monkeypatch.setattr(evaluate, "exact_distances", counting_distances)
+    monkeypatch.setattr(evaluate, "silhouette", recording_silhouette)
+    rows = compare_clusterings(
+        X, config={"dbscan": (0.3, 0.6, 1.0, 3.0)}, seed=2, standardize=True
+    )
+    assert len(built) == 1
+    assert len(scored) == len(rows) == 20
+    assert all(dist is built[0] for _, _, dist in scored)
+    for row, (Z, assignment, _) in zip(rows, scored):
+        try:
+            fresh = clustering.silhouette(Z, assignment)
+        except ClusterError:
+            fresh = None
+        assert row.silhouette == fresh
+    # The outliers are DBSCAN noise at the small eps values, where the
+    # shared matrix goes through silhouette's noise filter.
+    assert any(
+        r.silhouette is not None for r, (_, a, _) in zip(rows, scored) if -1 in a.labels
+    )
+
+    built.clear()
+    compare_clusterings(X, config={"dbscan": (1e-6,)}, seed=2)
+    assert len(built) == 1
 
 
 def test_comparison_deterministic():
