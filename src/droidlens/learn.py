@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .clustering import exact_distances
 from .dataset import Dataset
 from .errors import LearnError
 from .rng import derive_rng
@@ -31,7 +32,7 @@ KINDS = (
 _DEFAULTS: dict[str, dict] = {
     "logistic_regression": {"l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6, "step": 1.0},
     "gaussian_nb": {"var_floor_ratio": 1e-9},
-    "linear_svm": {"l2": 1e-4, "epochs": 200},
+    "linear_svm": {"l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6, "step": 1.0},
     "decision_tree": {"max_depth": None, "min_samples_split": 2},
     "random_forest": {
         "n_trees": 100,
@@ -96,6 +97,18 @@ def interpolate(base: np.ndarray, neighbor: np.ndarray, u: float) -> np.ndarray:
     return base + u * (neighbor - base)
 
 
+def _neighbor_table(M: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest other rows, nearest first.  Rows are ranked
+    in blocks of about 2^16 distances, so memory stays near m² floats."""
+    dist = exact_distances(M)
+    np.fill_diagonal(dist, np.inf)
+    block = max(1, (1 << 16) // len(M))
+    table = np.empty((len(M), k), dtype=np.intp)
+    for r0 in range(0, len(M), block):
+        table[r0 : r0 + block] = np.argsort(dist[r0 : r0 + block], axis=1)[:, :k]
+    return table
+
+
 def smote_balance(ds: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
     """Oversample the minority class up to the majority count.
 
@@ -121,10 +134,7 @@ def smote_balance(ds: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
     k = min(k_neighbors, minority_count - 1)
 
     M = ds.features[minority_idx]
-    gap = M[:, None, :] - M[None, :, :]
-    dist = np.sqrt((gap * gap).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    neighbor_table = np.argsort(dist, axis=1)[:, :k]
+    neighbor_table = _neighbor_table(M, k)
 
     need = abs(n0 - n1)
     rng = derive_rng(seed, "smote")
@@ -141,7 +151,7 @@ def smote_balance(ds: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
     return Dataset(ids=ids, features=features, labels=labels)
 
 
-# --- logistic regression -------------------------------------------------------
+# --- linear models: logistic regression and linear SVM ---------------------------
 
 
 def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,44 +165,44 @@ def _standardize_apply(X: np.ndarray, mean, std, kept) -> np.ndarray:
     return (X[:, kept] - mean[kept]) / std[kept]
 
 
-def _fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
+def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
+    """Minimise mean(loss(z)) + l2·‖w‖², z = Zw + b over standardized X,
+    by full-batch descent: the step halves until the objective does not
+    rise and never grows back.  ``row_terms(z)`` gives each row's loss
+    and its derivative in z; the accepted candidate's derivatives are
+    kept for the next gradient, so each step computes Zw once.
+    """
     mean, std, kept = _standardize_fit(X)
     Z = _standardize_apply(X, mean, std, kept)
     n, d = Z.shape
     lam = hp["l2"]
+
+    # float(sum) / n is mean() bit for bit without numpy's call overhead
+    def objective(wv, bv):
+        loss, slope = row_terms(Z @ wv + bv)
+        return float(loss.sum()) / n + lam * float(wv @ wv), slope
+
     w = np.zeros(d)
     b = 0.0
-
-    def loss(wv, bv):
-        z = Z @ wv + bv
-        # log(1 + exp(-m)) with the stable split at 0
-        margins = np.where(y == 1, z, -z)
-        raw = np.where(margins > 0, np.log1p(np.exp(-margins)), -margins + np.log1p(np.exp(margins)))
-        return float(raw.mean() + lam * (wv @ wv))
-
-    def grad(wv, bv):
-        p = 1.0 / (1.0 + np.exp(-(Z @ wv + bv)))
-        err = p - y
-        return Z.T @ err / n + 2.0 * lam * wv, float(err.mean())
-
-    step = float(hp["step"])
-    current = loss(w, b)
+    current, g = objective(w, b)
     curve = [current]
+    step = float(hp["step"])
     for _ in range(int(hp["max_iter"])):
-        gw, gb = grad(w, b)
+        gw = Z.T @ g / n + 2.0 * lam * w
+        gb = float(g.sum()) / n
         gnorm = math.sqrt(float(gw @ gw) + gb * gb)
         if gnorm < hp["grad_tol"]:
             break
         while True:
             cand_w = w - step * gw
             cand_b = b - step * gb
-            cand = loss(cand_w, cand_b)
+            cand, cand_g = objective(cand_w, cand_b)
             if cand <= current or step < 1e-12:
                 break
             step *= 0.5
         if cand > current:
             break  # step underflow: no descent possible
-        w, b, current = cand_w, cand_b, cand
+        w, b, g, current = cand_w, cand_b, cand_g, cand
         curve.append(current)
     return {
         "weights": w,
@@ -202,6 +212,33 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
         "kept": kept,
         "loss_curve": np.array(curve),
     }
+
+
+def _fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
+    """L2-regularised log-loss, log(1 + exp(-s·z)) per row."""
+    sign = np.where(y == 1, 1.0, -1.0)
+
+    def row_terms(z):
+        m = sign * z
+        # log(1 + exp(-m)) without overflow for either sign of m
+        loss = np.log1p(np.exp(-np.abs(m))) + np.maximum(-m, 0.0)
+        return loss, 1.0 / (1.0 + np.exp(-z)) - y
+
+    return _fit_linear(X, hp, row_terms)
+
+
+def _fit_linear_svm(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
+    """L2-loss SVM: L2-regularised squared hinge, max(0, 1 - s·z)² per
+    row, as in LIBLINEAR's default primal.  Unlike the plain hinge it
+    is differentiable, so ``grad_tol`` is a real stopping test."""
+    sign = np.where(y == 1, 1.0, -1.0)
+    slope_scale = -2.0 * sign
+
+    def row_terms(z):
+        hinge = np.maximum(1.0 - sign * z, 0.0)
+        return hinge * hinge, slope_scale * hinge
+
+    return _fit_linear(X, hp, row_terms)
 
 
 def _predict_linear(params: dict, X: np.ndarray) -> np.ndarray:
@@ -243,52 +280,6 @@ def _nb_log_posterior(params: dict, X: np.ndarray) -> np.ndarray:
 def _predict_gaussian_nb(params: dict, X: np.ndarray) -> np.ndarray:
     post = _nb_log_posterior(params, X)
     return (post[:, 1] > post[:, 0]).astype(np.int64)  # tie goes to benign
-
-
-# --- linear SVM ------------------------------------------------------------------
-
-
-def _fit_linear_svm(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
-    mean, std, kept = _standardize_fit(X)
-    Z = _standardize_apply(X, mean, std, kept)
-    n, d = Z.shape
-    lam = hp["l2"]
-    sign = np.where(y == 1, 1.0, -1.0)
-
-    def objective(wv, bv):
-        margins = 1.0 - sign * (Z @ wv + bv)
-        return float(np.maximum(margins, 0.0).mean() + lam * (wv @ wv))
-
-    w = np.zeros(d)
-    b = 0.0
-    best_w, best_b = w.copy(), b
-    best_obj = objective(w, b)
-    curve = [best_obj]
-    rng = derive_rng(seed, "svm-shuffle")
-    t = 0
-    for _ in range(int(hp["epochs"])):
-        order = rng.permutation(n)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            violated = sign[i] * (Z[i] @ w + b) < 1.0
-            w *= max(1.0 - 2.0 * eta * lam, 0.0)
-            if violated:
-                w += eta * sign[i] * Z[i]
-                b += eta * sign[i]
-        obj = objective(w, b)
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_b = w.copy(), b
-            curve.append(best_obj)
-    return {
-        "weights": best_w,
-        "bias": best_b,
-        "mean": mean,
-        "std": std,
-        "kept": kept,
-        "loss_curve": np.array(curve),
-    }
 
 
 # --- CART decision tree ------------------------------------------------------------
@@ -443,7 +434,7 @@ def fit(spec: ClassifierSpec, ds: Dataset) -> ClassifierModel:
     elif spec.kind == "gaussian_nb":
         params = _fit_gaussian_nb(X, y, hp)
     elif spec.kind == "linear_svm":
-        params = _fit_linear_svm(X, y, hp, spec.seed)
+        params = _fit_linear_svm(X, y, hp)
     elif spec.kind == "decision_tree":
         params = _fit_decision_tree(X, y, hp)
     else:

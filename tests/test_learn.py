@@ -2,11 +2,15 @@
 
 Oracles: a segment-membership residual check for SMOTE synthetics, a
 hand-written Gaussian posterior for naive Bayes, an exhaustive split
-check for the XOR tree, and a one-feature-at-a-time CART split search
-that the vectorised one must match exactly.
+check for the XOR tree, and three earlier implementations that the
+current ones must match exactly: a one-feature-at-a-time CART split
+search, SMOTE's m×m×d neighbour table and logistic regression's own
+descent loop.  The per-sample Pegasos SVM is kept as a timing baseline.
 """
 
 import math
+import time
+import timeit
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from droidlens.learn import (
     save_model,
     smote_balance,
 )
+from evalfactory import noisy_blob_dataset
 
 
 def make_ds(features, labels, ids=None):
@@ -98,6 +103,90 @@ def _reference_best_split(X, y, feature_ids):
             threshold = (sv[boundaries[pos]] + sv[boundaries[pos] + 1]) / 2.0
             best = (float(decrease[pos]), int(f), float(threshold))
     return best
+
+
+def _reference_neighbor_table(M, k):
+    """SMOTE's neighbour table from the full m×m×d difference tensor."""
+    gap = M[:, None, :] - M[None, :, :]
+    dist = np.sqrt((gap * gap).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1)[:, :k]
+
+
+def _reference_fit_logistic(X, y, hp):
+    """Logistic regression with its own loss and gradient closures."""
+    mean, std, kept = learn._standardize_fit(X)
+    Z = learn._standardize_apply(X, mean, std, kept)
+    n, d = Z.shape
+    lam = hp["l2"]
+    w = np.zeros(d)
+    b = 0.0
+
+    def loss(wv, bv):
+        z = Z @ wv + bv
+        margins = np.where(y == 1, z, -z)
+        raw = np.where(margins > 0, np.log1p(np.exp(-margins)), -margins + np.log1p(np.exp(margins)))
+        return float(raw.mean() + lam * (wv @ wv))
+
+    def grad(wv, bv):
+        p = 1.0 / (1.0 + np.exp(-(Z @ wv + bv)))
+        err = p - y
+        return Z.T @ err / n + 2.0 * lam * wv, float(err.mean())
+
+    step = float(hp["step"])
+    current = loss(w, b)
+    curve = [current]
+    for _ in range(int(hp["max_iter"])):
+        gw, gb = grad(w, b)
+        gnorm = math.sqrt(float(gw @ gw) + gb * gb)
+        if gnorm < hp["grad_tol"]:
+            break
+        while True:
+            cand_w = w - step * gw
+            cand_b = b - step * gb
+            cand = loss(cand_w, cand_b)
+            if cand <= current or step < 1e-12:
+                break
+            step *= 0.5
+        if cand > current:
+            break
+        w, b, current = cand_w, cand_b, cand
+        curve.append(current)
+    return {"weights": w, "bias": b, "loss_curve": np.array(curve)}
+
+
+def _reference_pegasos_svm(X, y, l2=1e-4, epochs=200):
+    """Per-sample Pegasos on the plain hinge, the linear SVM's earlier
+    solver; kept to time the full-batch one against."""
+    mean, std, kept = learn._standardize_fit(X)
+    Z = learn._standardize_apply(X, mean, std, kept)
+    n, d = Z.shape
+    sign = np.where(y == 1, 1.0, -1.0)
+
+    def objective(wv, bv):
+        margins = 1.0 - sign * (Z @ wv + bv)
+        return float(np.maximum(margins, 0.0).mean() + l2 * (wv @ wv))
+
+    w = np.zeros(d)
+    b = 0.0
+    best_w, best_b = w.copy(), b
+    best_obj = objective(w, b)
+    rng = np.random.default_rng(0)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (l2 * t)
+            violated = sign[i] * (Z[i] @ w + b) < 1.0
+            w *= max(1.0 - 2.0 * eta * l2, 0.0)
+            if violated:
+                w += eta * sign[i] * Z[i]
+                b += eta * sign[i]
+        obj = objective(w, b)
+        if obj < best_obj:
+            best_obj = obj
+            best_w, best_b = w.copy(), b
+    return best_w, best_b
 
 
 # --- SMOTE --------------------------------------------------------------------
@@ -181,6 +270,38 @@ def test_smote_caps_neighbors():
         assert 0.0 <= v < 5.0
 
 
+@st.composite
+def neighbor_problems(draw):
+    """Few-level or wide-range rows with duplicates, so tied and zero
+    distances are common, plus k up to m - 1."""
+    m = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        cells = st.integers(-2, 2).map(float)
+    else:
+        cells = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=m))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=m, max_size=m))
+    k = draw(st.integers(min_value=1, max_value=min(5, m - 1)))
+    return np.array([rows[i] for i in picks], dtype=np.float64), k
+
+
+@given(problem=neighbor_problems())
+@settings(max_examples=300, deadline=None)
+def test_neighbor_table_matches_reference(problem):
+    M, k = problem
+    assert np.array_equal(learn._neighbor_table(M, k), _reference_neighbor_table(M, k))
+
+
+@pytest.mark.parametrize("m", [7, 50, 386])
+def test_neighbor_table_matches_reference_on_counts(m):
+    # Poisson opcode-like counts; m = 386 spans several ranking blocks.
+    rng = np.random.default_rng(m)
+    M = rng.poisson(rng.gamma(1.0, 5.0, 64), size=(m, 64)).astype(np.float64)
+    M[m // 2] = M[0]
+    assert np.array_equal(learn._neighbor_table(M, 5), _reference_neighbor_table(M, 5))
+
+
 # --- spec validation ------------------------------------------------------------
 
 
@@ -189,9 +310,11 @@ def test_spec_rejects_unknown_kind_and_keys():
         ClassifierSpec(kind="svm")
     with pytest.raises(LearnError, match="unknown hyperparameters"):
         ClassifierSpec(kind="linear_svm", hyperparameters={"kernel": "rbf"})
-    spec = ClassifierSpec(kind="linear_svm", hyperparameters={"epochs": 5})
-    assert spec.resolved()["epochs"] == 5
+    spec = ClassifierSpec(kind="linear_svm", hyperparameters={"max_iter": 5})
+    assert spec.resolved()["max_iter"] == 5
     assert spec.resolved()["l2"] == 1e-4
+    with pytest.raises(LearnError, match="unknown hyperparameters"):
+        ClassifierSpec(kind="linear_svm", hyperparameters={"epochs": 5})
 
 
 # --- fitting behavior -------------------------------------------------------------
@@ -216,6 +339,90 @@ def test_logistic_separable():
     assert train_accuracy(model, ds) == 1.0
     curve = model.params["loss_curve"]
     assert all(a >= b - 1e-12 for a, b in zip(curve, curve[1:]))
+
+
+@st.composite
+def logistic_problems(draw):
+    """Normal or few-level features, and settings that reach max_iter,
+    stop on grad_tol, backtrack from an oversized first step, or (with
+    grad_tol 0) stall where a step leaves the loss exactly unchanged."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        X = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, d))
+    else:
+        X = rng.integers(0, 3, (n, d)).astype(np.float64)
+    y = rng.integers(0, 2, n)
+    hp = {
+        "l2": draw(st.sampled_from([0.0, 1e-4, 1e-1])),
+        "max_iter": draw(st.integers(0, 400)),
+        "grad_tol": draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+        "step": draw(st.sampled_from([1.0, 50.0])),
+    }
+    return X, y, hp
+
+
+@given(problem=logistic_problems())
+@settings(max_examples=200, deadline=None)
+def test_logistic_identical_to_reference_loop(problem):
+    X, y, hp = problem
+    got = learn._fit_logistic(X, y, hp)
+    want = _reference_fit_logistic(X, y, hp)
+    for key in ("weights", "bias", "loss_curve"):
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_logistic_default_identical_to_reference_loop():
+    ds = noisy_blob_dataset(3)
+    hp = ClassifierSpec(kind="logistic_regression").resolved()
+    got = learn._fit_logistic(ds.features, ds.labels, hp)
+    want = _reference_fit_logistic(ds.features, ds.labels, hp)
+    for key in ("weights", "bias", "loss_curve"):
+        assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_svm_learns_non_separable_data(seed):
+    ds = noisy_blob_dataset(seed)
+    majority = max(float(ds.labels.mean()), 1.0 - float(ds.labels.mean()))
+    model = fit(ClassifierSpec(kind="linear_svm"), ds)
+    p = model.params
+    curve = p["loss_curve"]
+    assert len(curve) > 1
+    assert all(a >= b for a, b in zip(curve, curve[1:]))
+    assert train_accuracy(model, ds) > majority
+    # The curve tracks the squared hinge, not some other margin loss.
+    Z = (ds.features[:, p["kept"]] - p["mean"][p["kept"]]) / p["std"][p["kept"]]
+    hinge = np.maximum(1.0 - np.where(ds.labels == 1, 1.0, -1.0) * (Z @ p["weights"] + p["bias"]), 0.0)
+    objective = (hinge**2).mean() + 1e-4 * p["weights"] @ p["weights"]
+    assert curve[-1] == pytest.approx(objective, rel=1e-12)
+
+
+def test_svm_fit_no_slower_than_pegasos_on_small_folds():
+    # 38 training rows of 256 Poisson opcode counts, the size of a
+    # five-fold training split of 48 apps.  Each pair times one fit of
+    # each solver back to back in CPU time with GC off (as timeit does);
+    # the median ratio over nine pairs shrugs off the odd pair that
+    # load from other processes slows on one side only.
+    rng = np.random.default_rng(38)
+    profiles = rng.gamma(1.0, 50.0, (4, 256))
+    spec = ClassifierSpec(kind="linear_svm")
+
+    def cpu_time(call):
+        return timeit.timeit(call, number=1, timer=time.process_time)
+
+    for fold in range(3):
+        which = rng.integers(0, 4, 38)
+        X = rng.poisson(profiles[which] * rng.gamma(5.0, 0.2, (38, 1))).astype(np.float64)
+        y = (rng.random(38) < np.where(which < 2, 0.3, 0.7)).astype(np.int64)
+        ds = make_ds(X, y)
+        ratios = [
+            cpu_time(lambda: _reference_pegasos_svm(X, y)) / cpu_time(lambda: fit(spec, ds))
+            for _ in range(9)
+        ]
+        assert np.median(ratios) >= 1.0, (fold, ratios)
 
 
 def test_xor_tree_depth_two():
@@ -405,7 +612,7 @@ def test_predictions_always_binary(kind, seed):
     y = rng.integers(0, 2, n)
     hp = {"n_trees": 10} if kind == "random_forest" else {}
     if kind == "linear_svm":
-        hp = {"epochs": 10}
+        hp = {"max_iter": 10}
     model = fit(ClassifierSpec(kind=kind, hyperparameters=hp, seed=seed), make_ds(X, y))
     out = predict_batch(model, rng.uniform(-5, 15, (8, 3)))
     assert set(out.tolist()) <= {0, 1}
