@@ -32,7 +32,7 @@ KINDS = (
 _DEFAULTS: dict[str, dict] = {
     "logistic_regression": {"l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6, "step": 1.0},
     "gaussian_nb": {"var_floor_ratio": 1e-9},
-    "linear_svm": {"l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6, "step": 1.0},
+    "linear_svm": {"l2": 1e-4, "max_iter": 1000},
     "decision_tree": {"max_depth": None, "min_samples_split": 2},
     "random_forest": {
         "n_trees": 100,
@@ -230,7 +230,8 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
 def _fit_linear_svm(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     """L2-loss SVM: L2-regularised squared hinge, max(0, 1 - s·z)² per
     row, as in LIBLINEAR's default primal.  Unlike the plain hinge it
-    is differentiable, so ``grad_tol`` is a real stopping test."""
+    is differentiable, so the gradient-norm stop is a real test.  The
+    first step and the stopping tolerance are fixed, not settings."""
     sign = np.where(y == 1, 1.0, -1.0)
     slope_scale = -2.0 * sign
 
@@ -238,7 +239,7 @@ def _fit_linear_svm(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
         hinge = np.maximum(1.0 - sign * z, 0.0)
         return hinge * hinge, slope_scale * hinge
 
-    return _fit_linear(X, hp, row_terms)
+    return _fit_linear(X, {**hp, "grad_tol": 1e-6, "step": 1.0}, row_terms)
 
 
 def _predict_linear(params: dict, X: np.ndarray) -> np.ndarray:

@@ -5,16 +5,14 @@ hand-written Gaussian posterior for naive Bayes, an exhaustive split
 check for the XOR tree, and three earlier implementations that the
 current ones must match exactly: a one-feature-at-a-time CART split
 search, SMOTE's m×m×d neighbour table and logistic regression's own
-descent loop.  The per-sample Pegasos SVM is kept as a timing baseline.
+descent loop.
 """
 
 import math
-import time
-import timeit
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from droidlens import learn
 from droidlens.dataset import Dataset
@@ -155,40 +153,6 @@ def _reference_fit_logistic(X, y, hp):
     return {"weights": w, "bias": b, "loss_curve": np.array(curve)}
 
 
-def _reference_pegasos_svm(X, y, l2=1e-4, epochs=200):
-    """Per-sample Pegasos on the plain hinge, the linear SVM's earlier
-    solver; kept to time the full-batch one against."""
-    mean, std, kept = learn._standardize_fit(X)
-    Z = learn._standardize_apply(X, mean, std, kept)
-    n, d = Z.shape
-    sign = np.where(y == 1, 1.0, -1.0)
-
-    def objective(wv, bv):
-        margins = 1.0 - sign * (Z @ wv + bv)
-        return float(np.maximum(margins, 0.0).mean() + l2 * (wv @ wv))
-
-    w = np.zeros(d)
-    b = 0.0
-    best_w, best_b = w.copy(), b
-    best_obj = objective(w, b)
-    rng = np.random.default_rng(0)
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (l2 * t)
-            violated = sign[i] * (Z[i] @ w + b) < 1.0
-            w *= max(1.0 - 2.0 * eta * l2, 0.0)
-            if violated:
-                w += eta * sign[i] * Z[i]
-                b += eta * sign[i]
-        obj = objective(w, b)
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_b = w.copy(), b
-    return best_w, best_b
-
-
 # --- SMOTE --------------------------------------------------------------------
 
 
@@ -313,8 +277,9 @@ def test_spec_rejects_unknown_kind_and_keys():
     spec = ClassifierSpec(kind="linear_svm", hyperparameters={"max_iter": 5})
     assert spec.resolved()["max_iter"] == 5
     assert spec.resolved()["l2"] == 1e-4
-    with pytest.raises(LearnError, match="unknown hyperparameters"):
-        ClassifierSpec(kind="linear_svm", hyperparameters={"epochs": 5})
+    for key in ("epochs", "grad_tol", "step"):
+        with pytest.raises(LearnError, match="unknown hyperparameters"):
+            ClassifierSpec(kind="linear_svm", hyperparameters={key: 5})
 
 
 # --- fitting behavior -------------------------------------------------------------
@@ -364,21 +329,22 @@ def logistic_problems(draw):
     return X, y, hp
 
 
+_DEFAULT_BLOBS = noisy_blob_dataset(3)
+
+
 @given(problem=logistic_problems())
+@example(
+    problem=(
+        _DEFAULT_BLOBS.features,
+        _DEFAULT_BLOBS.labels,
+        ClassifierSpec(kind="logistic_regression").resolved(),
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_logistic_identical_to_reference_loop(problem):
     X, y, hp = problem
     got = learn._fit_logistic(X, y, hp)
     want = _reference_fit_logistic(X, y, hp)
-    for key in ("weights", "bias", "loss_curve"):
-        assert np.array_equal(got[key], want[key]), key
-
-
-def test_logistic_default_identical_to_reference_loop():
-    ds = noisy_blob_dataset(3)
-    hp = ClassifierSpec(kind="logistic_regression").resolved()
-    got = learn._fit_logistic(ds.features, ds.labels, hp)
-    want = _reference_fit_logistic(ds.features, ds.labels, hp)
     for key in ("weights", "bias", "loss_curve"):
         assert np.array_equal(got[key], want[key]), key
 
@@ -398,31 +364,6 @@ def test_default_svm_learns_non_separable_data(seed):
     hinge = np.maximum(1.0 - np.where(ds.labels == 1, 1.0, -1.0) * (Z @ p["weights"] + p["bias"]), 0.0)
     objective = (hinge**2).mean() + 1e-4 * p["weights"] @ p["weights"]
     assert curve[-1] == pytest.approx(objective, rel=1e-12)
-
-
-def test_svm_fit_no_slower_than_pegasos_on_small_folds():
-    # 38 training rows of 256 Poisson opcode counts, the size of a
-    # five-fold training split of 48 apps.  Each pair times one fit of
-    # each solver back to back in CPU time with GC off (as timeit does);
-    # the median ratio over nine pairs shrugs off the odd pair that
-    # load from other processes slows on one side only.
-    rng = np.random.default_rng(38)
-    profiles = rng.gamma(1.0, 50.0, (4, 256))
-    spec = ClassifierSpec(kind="linear_svm")
-
-    def cpu_time(call):
-        return timeit.timeit(call, number=1, timer=time.process_time)
-
-    for fold in range(3):
-        which = rng.integers(0, 4, 38)
-        X = rng.poisson(profiles[which] * rng.gamma(5.0, 0.2, (38, 1))).astype(np.float64)
-        y = (rng.random(38) < np.where(which < 2, 0.3, 0.7)).astype(np.int64)
-        ds = make_ds(X, y)
-        ratios = [
-            cpu_time(lambda: _reference_pegasos_svm(X, y)) / cpu_time(lambda: fit(spec, ds))
-            for _ in range(9)
-        ]
-        assert np.median(ratios) >= 1.0, (fold, ratios)
 
 
 def test_xor_tree_depth_two():
