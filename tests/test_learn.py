@@ -2,12 +2,15 @@
 
 Oracles: a segment-membership residual check for SMOTE synthetics, a
 hand-written Gaussian posterior for naive Bayes, an exhaustive split
-check for the XOR tree, and three earlier implementations that the
+check for the XOR tree, and two earlier implementations that the
 current ones must match exactly: a one-feature-at-a-time CART split
-search, SMOTE's m×m×d neighbour table and logistic regression's own
-descent loop.
+search and SMOTE's m×m×d neighbour table.  The linear models are held
+to their optimum instead: the gradient at the returned point, the
+halving-step descent they ran before, and the optimum found by Newton's
+method in 50-digit decimal arithmetic.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -111,27 +114,45 @@ def _reference_neighbor_table(M, k):
     return np.argsort(dist, axis=1)[:, :k]
 
 
-def _reference_fit_logistic(X, y, hp):
-    """Logistic regression with its own loss and gradient closures."""
+def _objective_closures(kind, Z, y, lam):
+    """(loss, grad) of a linear model's objective over standardized Z,
+    written independently of the solver's row terms."""
+    n = len(y)
+    sign = np.where(y == 1, 1.0, -1.0)
+
+    if kind == "logistic_regression":
+
+        def loss(wv, bv):
+            margins = sign * (Z @ wv + bv)
+            return float(np.logaddexp(0.0, -margins).mean() + lam * (wv @ wv))
+
+        def grad(wv, bv):
+            # d/dz log(1 + exp(-s·z)) = -s / (1 + exp(s·z))
+            err = -sign * np.exp(-np.logaddexp(0.0, sign * (Z @ wv + bv)))
+            return Z.T @ err / n + 2.0 * lam * wv, float(err.mean())
+
+    else:
+
+        def loss(wv, bv):
+            hinge = np.maximum(1.0 - sign * (Z @ wv + bv), 0.0)
+            return float((hinge * hinge).mean() + lam * (wv @ wv))
+
+        def grad(wv, bv):
+            err = -2.0 * sign * np.maximum(1.0 - sign * (Z @ wv + bv), 0.0)
+            return Z.T @ err / n + 2.0 * lam * wv, float(err.mean())
+
+    return loss, grad
+
+
+def _reference_descent(X, y, kind, hp):
+    """The halving-step descent both linear models ran before Newton's
+    method, from a first step of 1, with the test's own closures."""
     mean, std, kept = learn._standardize_fit(X)
     Z = learn._standardize_apply(X, mean, std, kept)
-    n, d = Z.shape
-    lam = hp["l2"]
-    w = np.zeros(d)
+    loss, grad = _objective_closures(kind, Z, y, hp["l2"])
+    w = np.zeros(Z.shape[1])
     b = 0.0
-
-    def loss(wv, bv):
-        z = Z @ wv + bv
-        margins = np.where(y == 1, z, -z)
-        raw = np.where(margins > 0, np.log1p(np.exp(-margins)), -margins + np.log1p(np.exp(margins)))
-        return float(raw.mean() + lam * (wv @ wv))
-
-    def grad(wv, bv):
-        p = 1.0 / (1.0 + np.exp(-(Z @ wv + bv)))
-        err = p - y
-        return Z.T @ err / n + 2.0 * lam * wv, float(err.mean())
-
-    step = float(hp["step"])
+    step = 1.0
     current = loss(w, b)
     curve = [current]
     for _ in range(int(hp["max_iter"])):
@@ -280,6 +301,11 @@ def test_spec_rejects_unknown_kind_and_keys():
     for key in ("epochs", "grad_tol", "step"):
         with pytest.raises(LearnError, match="unknown hyperparameters"):
             ClassifierSpec(kind="linear_svm", hyperparameters={key: 5})
+    with pytest.raises(LearnError, match="unknown hyperparameters"):
+        ClassifierSpec(kind="logistic_regression", hyperparameters={"step": 1.0})
+    assert ClassifierSpec(kind="logistic_regression").resolved() == {
+        "l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6,
+    }
 
 
 # --- fitting behavior -------------------------------------------------------------
@@ -308,9 +334,10 @@ def test_logistic_separable():
 
 @st.composite
 def logistic_problems(draw):
-    """Normal or few-level features, and settings that reach max_iter,
-    stop on grad_tol, backtrack from an oversized first step, or (with
-    grad_tol 0) stall where a step leaves the loss exactly unchanged."""
+    """Normal or few-level features (so collinear and constant columns
+    occur), l2 of 0 (a singular Hessian when columns are collinear or
+    d >= n), and settings that reach max_iter, stop on grad_tol, or
+    (with grad_tol 0) run until no step lowers the objective."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(min_value=2, max_value=40))
     d = draw(st.integers(min_value=1, max_value=8))
@@ -324,29 +351,255 @@ def logistic_problems(draw):
         "l2": draw(st.sampled_from([0.0, 1e-4, 1e-1])),
         "max_iter": draw(st.integers(0, 400)),
         "grad_tol": draw(st.sampled_from([0.0, 1e-6, 1e-2])),
-        "step": draw(st.sampled_from([1.0, 50.0])),
     }
     return X, y, hp
 
 
+LINEAR_KINDS = ("logistic_regression", "linear_svm")
+_SVM_GRAD_TOL = 1e-6  # fixed inside _fit_linear_svm
+
+
+def _fit_linear_direct(kind, X, y, hp):
+    """Call the model's fitter itself, so single-class labels reach the
+    solver too; returns (params, the settings it ran with)."""
+    if kind == "logistic_regression":
+        return learn._fit_logistic(X, y, hp), hp
+    params = learn._fit_linear_svm(X, y, {"l2": hp["l2"], "max_iter": hp["max_iter"]})
+    return params, {**hp, "grad_tol": _SVM_GRAD_TOL}
+
+
+def _check_linear_fit(kind, X, y, hp, params):
+    """Assert the loss_curve contract: it starts at the objective at
+    w = 0, falls with every accepted iteration, ends at the returned
+    model's objective and has at most max_iter steps.  Returns the
+    gradient norm at the returned point, both from the test's own
+    closures."""
+    Z = learn._standardize_apply(X, params["mean"], params["std"], params["kept"])
+    loss, grad = _objective_closures(kind, Z, y, hp["l2"])
+    w, b, curve = params["weights"], params["bias"], params["loss_curve"]
+    assert np.all(np.isfinite(w)) and math.isfinite(b)
+    assert math.isclose(curve[0], loss(np.zeros_like(w), 0.0), rel_tol=1e-12)
+    assert math.isclose(curve[-1], loss(w, b), rel_tol=1e-12)
+    assert np.all(np.diff(curve) < 0.0)
+    assert len(curve) - 1 <= hp["max_iter"]
+    gw, gb = grad(w, b)
+    return math.sqrt(float(gw @ gw) + gb * gb)
+
+
 _DEFAULT_BLOBS = noisy_blob_dataset(3)
-
-
-@given(problem=logistic_problems())
-@example(
-    problem=(
-        _DEFAULT_BLOBS.features,
-        _DEFAULT_BLOBS.labels,
-        ClassifierSpec(kind="logistic_regression").resolved(),
-    )
+_DEFAULT_PROBLEM = (
+    _DEFAULT_BLOBS.features,
+    _DEFAULT_BLOBS.labels,
+    ClassifierSpec(kind="logistic_regression").resolved(),
 )
-@settings(max_examples=200, deadline=None)
-def test_logistic_identical_to_reference_loop(problem):
+
+
+@given(problem=logistic_problems(), kind=st.sampled_from(LINEAR_KINDS))
+@example(problem=_DEFAULT_PROBLEM, kind="logistic_regression")
+@example(problem=_DEFAULT_PROBLEM, kind="linear_svm")
+@settings(max_examples=300, deadline=None)
+def test_linear_fit_reaches_optimum(problem, kind):
     X, y, hp = problem
-    got = learn._fit_logistic(X, y, hp)
-    want = _reference_fit_logistic(X, y, hp)
-    for key in ("weights", "bias", "loss_curve"):
-        assert np.array_equal(got[key], want[key]), key
+    got, hp = _fit_linear_direct(kind, X, y, hp)
+    gnorm = _check_linear_fit(kind, X, y, hp, got)
+    curve = got["loss_curve"]
+    if len(curve) - 1 == hp["max_iter"]:
+        return  # cut short: only the curve contract is promised
+    # A stop before max_iter is the grad_tol stop, or a stall where
+    # rounding hides the decrease, which only happens far below the
+    # default tolerance; grad_tol 0 can end no other way.
+    assert gnorm < max(hp["grad_tol"], 1e-6)
+    if hp["grad_tol"] <= 1e-6:
+        # At grad_tol 1e-2 both solvers stop wherever the gradient first
+        # drops below it, so neither point is an optimum to compare.
+        old = _reference_descent(X, y, kind, hp)["loss_curve"][-1]
+        assert curve[-1] <= old + 1e-12 * curve[0]
+
+
+def _gauss_solve(A, rhs):
+    """A·x = rhs by Gaussian elimination with partial pivoting, in the
+    current decimal context."""
+    k = len(rhs)
+    M = [list(row) + [v] for row, v in zip(A, rhs)]
+    for c in range(k):
+        pivot = max(range(c, k), key=lambda r: abs(M[r][c]))
+        M[c], M[pivot] = M[pivot], M[c]
+        for r in range(c + 1, k):
+            factor = M[r][c] / M[c][c]
+            for j in range(c, k + 1):
+                M[r][j] -= factor * M[c][j]
+    x = [decimal.Decimal(0)] * k
+    for c in reversed(range(k)):
+        x[c] = (M[c][k] - sum(M[c][j] * x[j] for j in range(c + 1, k))) / M[c][c]
+    return x
+
+
+def _decimal_optimum(kind, Z, y, lam, digits=50):
+    """(weights, bias, objective) at the model's optimum over
+    standardized Z, by damped Newton in `digits`-digit decimal
+    arithmetic: no numpy, no floating point after the inputs."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        rows = [[D(float(v)) for v in row] + [D(1)] for row in Z]
+        signs = [D(1) if label == 1 else D(-1) for label in y]
+        n, k = len(rows), Z.shape[1] + 1
+        reg = [D(lam)] * (k - 1) + [D(0)]  # the bias is not penalised
+
+        def terms(theta):
+            f = sum(r * t * t for r, t in zip(reg, theta))
+            g = [2 * r * t for r, t in zip(reg, theta)]
+            H = [[2 * reg[i] if i == j else D(0) for j in range(k)] for i in range(k)]
+            for row, s in zip(rows, signs):
+                m = s * sum(a * t for a, t in zip(row, theta))
+                if kind == "logistic_regression":
+                    loss = (1 + (-m).exp()).ln()
+                    slope = -s / (1 + m.exp())
+                    curv = m.exp() / (1 + m.exp()) ** 2
+                else:
+                    hinge = max(1 - m, D(0))
+                    loss, slope = hinge * hinge, -2 * s * hinge
+                    curv = D(2) if hinge > 0 else D(0)
+                f += loss / n
+                for i in range(k):
+                    g[i] += slope * row[i] / n
+                    for j in range(k):
+                        H[i][j] += curv * row[i] * row[j] / n
+            return f, g, H
+
+        theta = [D(0)] * k
+        f, g, H = terms(theta)
+        for _ in range(100):
+            p = _gauss_solve(H, [-v for v in g])
+            if max(abs(v) for v in p) < D(10) ** -(digits // 2):
+                break  # far below double precision, far above this context's
+            t = D(1)
+            while True:
+                cand = [a + t * b for a, b in zip(theta, p)]
+                cand_f, cand_g, cand_H = terms(cand)
+                if cand_f <= f:
+                    break
+                t /= 2
+            theta, f, g, H = cand, cand_f, cand_g, cand_H
+        return np.array([float(v) for v in theta[:-1]]), float(theta[-1]), float(f)
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+@pytest.mark.parametrize("seed, d, l2", [(0, 1, 1e-4), (1, 2, 1e-4), (2, 2, 1e-1), (3, 1, 0.0)])
+def test_linear_fit_agrees_with_high_precision_optimum(kind, seed, d, l2):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 1.0, (24, d))
+    y = (X.sum(axis=1) + rng.normal(0.0, 1.0, 24) > 0).astype(np.int64)  # overlapping
+    # grad_tol 0: logistic regression runs until no step lowers the
+    # objective.  Near the optimum the objective moves by the square of
+    # the distance, so comparing objectives pins the point to about
+    # sqrt(eps); the SVM's generalised Newton ends on an exact solve.
+    hp = {"l2": l2, "grad_tol": 0.0} if kind == "logistic_regression" else {"l2": l2}
+    p = fit(ClassifierSpec(kind=kind, hyperparameters=hp), make_ds(X, y)).params
+    Z = learn._standardize_apply(X, p["mean"], p["std"], p["kept"])
+    w, b, objective = _decimal_optimum(kind, Z, y, l2)
+    assert p["loss_curve"][-1] == pytest.approx(objective, rel=1e-12)
+    assert p["weights"] == pytest.approx(w, abs=1e-7)
+    assert p["bias"] == pytest.approx(b, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "kind, hp",
+    [
+        ("logistic_regression", {"l2": 0.0}),
+        # Runs until the log-loss underflows, about 700 iterations, at
+        # margins past 1000 where exp(-z) itself would overflow.
+        ("logistic_regression", {"l2": 0.0, "grad_tol": 0.0}),
+        ("linear_svm", {"l2": 0.0}),
+    ],
+)
+def test_linear_fit_l2_zero_on_separable_data(kind, hp):
+    ds = two_blob_ds(9)
+    spec = ClassifierSpec(kind=kind, hyperparameters=hp)
+    model = fit(spec, ds)
+    resolved = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
+    _check_linear_fit(kind, ds.features, ds.labels, resolved, model.params)
+    assert len(model.params["loss_curve"]) - 1 < resolved["max_iter"]
+    assert train_accuracy(model, ds) == 1.0
+
+
+def _poisson_counts(seed, n, d):
+    rng = np.random.default_rng(seed)
+    rates = rng.gamma(1.0, 5.0, size=(2, d))
+    y = rng.integers(0, 2, n)
+    return make_ds(rng.poisson(rates[y]), y)
+
+
+@pytest.mark.parametrize("kind, blobs_most, counts_most", [
+    ("logistic_regression", 6, 15),
+    ("linear_svm", 3, 40),
+])
+def test_newton_reaches_grad_tol_in_few_iterations(kind, blobs_most, counts_most):
+    # Near the optimum Newton's method converges quadratically (4 and
+    # 1-2 iterations on the blobs, 11 and 28 on the counts).  A wrong
+    # Hessian converges linearly at best and needs far more.
+    spec = ClassifierSpec(kind=kind)
+    hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
+    cases = [(noisy_blob_dataset(seed), blobs_most) for seed in range(3)]
+    cases.append((_poisson_counts(7, 300, 64), counts_most))  # two Gram row blocks
+    for ds, most in cases:
+        p = fit(spec, ds).params
+        assert _check_linear_fit(kind, ds.features, ds.labels, hp, p) < hp["grad_tol"]
+        assert len(p["loss_curve"]) - 1 <= most
+
+
+def _more_features_than_rows():
+    # 21 parameters, 6 rows: the Hessian has rank <= 6.
+    X = np.random.default_rng(21).normal(0.0, 1.0, (6, 20))
+    return X, np.array([0, 1, 0, 1, 1, 0])
+
+
+def _collinear_by_rounding():
+    # Two rows z-score every column to about ±1, so the two columns are
+    # collinear up to rounding: Cholesky can succeed on a noise pivot.
+    X = np.array([[-0.3619874275365686, 0.8116259196764026],
+                  [-1.2512308147872921, -1.2758971463181288]])
+    return X, np.array([0, 1])
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+@pytest.mark.parametrize("problem", [_more_features_than_rows, _collinear_by_rounding])
+def test_linear_fit_singular_hessian(kind, problem):
+    # No penalty, so nothing lifts the Hessian's zero eigenvalues.
+    X, y = problem()
+    hp = ClassifierSpec(kind=kind, hyperparameters={"l2": 0.0}).resolved()
+    params, hp = _fit_linear_direct(kind, X, y, hp)
+    gnorm = _check_linear_fit(kind, X, y, hp, params)
+    assert len(params["loss_curve"]) - 1 < hp["max_iter"]
+    assert gnorm < hp["grad_tol"]
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+def test_linear_fit_bias_only_when_every_feature_constant(kind):
+    X = np.full((7, 3), 4.0)
+    y = np.array([1, 1, 1, 0, 0, 0, 0])
+    model = fit(ClassifierSpec(kind=kind), make_ds(X, y))
+    p = model.params
+    _check_linear_fit(kind, X, y, ClassifierSpec(kind=kind).resolved(), p)
+    assert p["kept"].size == 0 and p["weights"].shape == (0,)
+    # Closed forms: the log-odds of the classes, which the gradient stop
+    # pins to within grad_tol / p(1 - p) = 1e-6 · 49/12; for the squared
+    # hinge the mean of the signs, since every row stays inside the
+    # margin, which one exact Newton step reaches.
+    if kind == "logistic_regression":
+        assert p["bias"] == pytest.approx(math.log(3 / 4), abs=5e-6)
+    else:
+        assert p["bias"] == pytest.approx((3 - 4) / 7, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+def test_linear_fit_max_iter_zero(kind):
+    ds = two_blob_ds(4, per=6)
+    hp = ClassifierSpec(kind=kind, hyperparameters={"max_iter": 0}).resolved()
+    p = fit(ClassifierSpec(kind=kind, hyperparameters={"max_iter": 0}), ds).params
+    _check_linear_fit(kind, ds.features, ds.labels, hp, p)
+    assert not p["weights"].any() and p["bias"] == 0.0
+    assert len(p["loss_curve"]) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
