@@ -35,6 +35,85 @@ def build_code_item(insns: list[int], registers: int = 2) -> bytes:
     return body
 
 
+def build_dex_raw(
+    code_items: list[list[int]],
+    class_data,
+    version: int = 35,
+) -> bytes:
+    """Assemble a DEX from code items and a raw class_data blob.
+
+    ``code_items`` holds each code item's 16-bit code units.
+    ``class_data`` is called with the code items' file offsets and
+    returns ``(blob, refs)``: the class_data bytes, placed after the
+    code, and one entry per class_def giving its class_data offset into
+    the blob, or None for a class without class_data.
+    """
+    n_classes = len(class_data([0] * len(code_items))[1])
+    class_defs_off = HEADER_SIZE if n_classes else 0
+    data_off = HEADER_SIZE + 32 * n_classes
+
+    # Code items first, 4-byte aligned, so class_data can name their
+    # offsets without fixups.
+    blob = bytearray()
+    code_offsets: list[int] = []
+    for insns in code_items:
+        while (data_off + len(blob)) % 4:
+            blob.append(0)
+        code_offsets.append(data_off + len(blob))
+        blob += build_code_item(insns)
+    class_data_start = data_off + len(blob)
+    class_data_blob, refs = class_data(code_offsets)
+    blob += class_data_blob
+
+    file_size = data_off + len(blob)
+    header = bytearray(HEADER_SIZE)
+    header[0:8] = b"dex\n%03d\x00" % version
+    struct.pack_into("<I", header, 32, file_size)
+    struct.pack_into("<I", header, 36, HEADER_SIZE)
+    struct.pack_into("<I", header, 40, 0x12345678)
+    # link_size, link_off, map_off left zero.
+    # string/type/proto/field/method id tables left empty.
+    struct.pack_into("<II", header, 96, n_classes, class_defs_off)
+    struct.pack_into("<II", header, 104, len(blob), data_off)
+
+    out = bytearray(header)
+    for i, ref in enumerate(refs):
+        out += struct.pack(
+            "<8I",
+            i,  # class_idx
+            0x1,  # access_flags
+            0xFFFFFFFF,  # superclass_idx: NO_INDEX
+            0,  # interfaces_off
+            0xFFFFFFFF,  # source_file_idx
+            0,  # annotations_off
+            0 if ref is None else class_data_start + ref,
+            0,  # static_values_off
+        )
+    out += blob
+
+    out[12:32] = hashlib.sha1(out[32:]).digest()
+    struct.pack_into("<I", out, 8, zlib.adler32(bytes(out[12:])))
+    return bytes(out)
+
+
+def encode_class_data(methods: list[tuple[int, int]], fields: int = 0) -> bytes:
+    """One class_data item: ``fields`` static fields, then one direct
+    method per ``(access_flags, code_off)`` pair."""
+    item = bytearray()
+    item += encode_uleb128(fields)  # static fields
+    item += encode_uleb128(0)  # instance fields
+    item += encode_uleb128(len(methods))  # direct
+    item += encode_uleb128(0)  # virtual
+    for i in range(fields):
+        item += encode_uleb128(1 if i else 0)  # field_idx_diff
+        item += encode_uleb128(0x1)  # access_flags: public
+    for i, (access, code_off) in enumerate(methods):
+        item += encode_uleb128(1 if i else 3)  # method_idx_diff
+        item += encode_uleb128(access)
+        item += encode_uleb128(code_off)
+    return bytes(item)
+
+
 def build_dex(
     classes: list[list[list[int]] | None],
     version: int = 35,
@@ -47,75 +126,21 @@ def build_dex(
     ``abstract_methods`` adds that many code-less methods to each class
     that has class_data.
     """
-    class_defs_off = HEADER_SIZE if classes else 0
-    data_off = HEADER_SIZE + 32 * len(classes)
+    code_items = [insns for methods in classes for insns in methods or []]
 
-    # Code items first, 4-byte aligned, so class_data can name their
-    # offsets without fixups.
-    blob = bytearray()
-    code_offsets: list[list[int]] = []
-    for methods in classes:
-        offsets = []
-        for insns in methods or []:
-            while (data_off + len(blob)) % 4:
-                blob.append(0)
-            offsets.append(data_off + len(blob))
-            blob += build_code_item(insns)
-        code_offsets.append(offsets)
+    def class_data(code_offsets):
+        blob, refs = bytearray(), []
+        offsets = iter(code_offsets)
+        for methods in classes:
+            if methods is None:
+                refs.append(None)
+                continue
+            refs.append(len(blob))
+            named = [(0x1, next(offsets)) for _ in methods]  # public
+            blob += encode_class_data(named + [(0x401, 0)] * abstract_methods)
+        return bytes(blob), refs
 
-    class_data_offsets: list[int] = []
-    for methods, offsets in zip(classes, code_offsets):
-        if methods is None:
-            class_data_offsets.append(0)
-            continue
-        class_data_offsets.append(data_off + len(blob))
-        item = bytearray()
-        item += encode_uleb128(0)  # static fields
-        item += encode_uleb128(0)  # instance fields
-        item += encode_uleb128(len(methods) + abstract_methods)  # direct
-        item += encode_uleb128(0)  # virtual
-        method_idx = 0
-        for code_off in offsets:
-            item += encode_uleb128(1 if method_idx else 3)  # method_idx_diff
-            item += encode_uleb128(0x1)  # access_flags: public
-            item += encode_uleb128(code_off)
-            method_idx += 1
-        for _ in range(abstract_methods):
-            item += encode_uleb128(1 if method_idx else 3)
-            item += encode_uleb128(0x401)  # public abstract
-            item += encode_uleb128(0)
-            method_idx += 1
-        blob += item
-
-    file_size = data_off + len(blob)
-    header = bytearray(HEADER_SIZE)
-    header[0:8] = b"dex\n%03d\x00" % version
-    struct.pack_into("<I", header, 32, file_size)
-    struct.pack_into("<I", header, 36, HEADER_SIZE)
-    struct.pack_into("<I", header, 40, 0x12345678)
-    # link_size, link_off, map_off left zero.
-    # string/type/proto/field/method id tables left empty.
-    struct.pack_into("<II", header, 96, len(classes), class_defs_off)
-    struct.pack_into("<II", header, 104, len(blob), data_off)
-
-    out = bytearray(header)
-    for i, class_data_off in enumerate(class_data_offsets):
-        out += struct.pack(
-            "<8I",
-            i,  # class_idx
-            0x1,  # access_flags
-            0xFFFFFFFF,  # superclass_idx: NO_INDEX
-            0,  # interfaces_off
-            0xFFFFFFFF,  # source_file_idx
-            0,  # annotations_off
-            class_data_off,
-            0,  # static_values_off
-        )
-    out += blob
-
-    out[12:32] = hashlib.sha1(out[32:]).digest()
-    struct.pack_into("<I", out, 8, zlib.adler32(bytes(out[12:])))
-    return bytes(out)
+    return build_dex_raw(code_items, class_data, version)
 
 
 # --- Known-content fixtures with hand-computed histograms ---------------
