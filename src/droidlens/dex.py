@@ -20,11 +20,12 @@ The input is treated as adversarial:
 
 ``opcode_histogram`` works on the whole file at once with numpy.  It
 decodes every class_data ULEB128 from the positions of the terminator
-bytes, then reads the code units in blocks of ``_BLOCK_UNITS``, so the
-walk's memory is that of one block (well under 1 MB) whatever the
-method sizes.  On the benchmark's 16 MB corpus the ``extract`` stage
-runs at about 38 MB/s on one core of a 2-vCPU x86 VM, against 9 MB/s
-for the per-instruction loop it replaced.  ``instruction_width`` is the
+bytes (a few 8-byte entries per byte of the class_data span), then
+reads the code units in blocks of ``_BLOCK_UNITS``, so the walk's
+memory is that of one block (well under 1 MB) whatever the method
+sizes.  On the benchmark's 16 MB corpus the ``extract`` stage runs at
+about 38 MB/s on one core of a 2-vCPU x86 VM, against 9 MB/s for the
+per-instruction loop it replaced.  ``instruction_width`` is the
 one-instruction form of the same width rules.
 """
 
