@@ -258,18 +258,8 @@ def sse_curve(X, k_range, seed: int, n_restarts: int = 10) -> list[tuple[int, fl
     return curve
 
 
-def assign_clusters(x, model: KMeansModel) -> int:
-    """Nearest centroid for one point; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.centroids.shape[1]:
-        raise ClusterError(
-            f"point has shape {x.shape}, centroids are "
-            f"{model.centroids.shape[0]}x{model.centroids.shape[1]}"
-        )
-    return int(np.argmin(_sq_dists(x[None, :], model.centroids)[0]))
-
-
 def assign_clusters_batch(X, model: KMeansModel) -> np.ndarray:
+    """Nearest centroid per row; ties go to the lowest index."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.centroids.shape[1]:
         raise ClusterError(

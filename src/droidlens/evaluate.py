@@ -1,9 +1,10 @@
 """Cross-validated evaluation of the two pipelines.
 
-The plain pipeline trains one model per fold on the whole training
-split.  The clustered pipeline partitions each training split with
-k-means, balances each cluster with SMOTE, and trains one model per
-cluster; test rows are routed to the model of their nearest centroid.
+The clustered pipeline partitions each training split with k-means,
+balances each cluster with SMOTE, and trains one model per cluster;
+test rows are routed to the model of their nearest centroid.  The
+plain pipeline, which trains one model per fold on the whole training
+split, is implemented as that loop with one cluster and SMOTE off.
 
 Metric aggregation pools confusion counts over folds by default; a
 fold-mean mode averages per-fold metrics instead.  Undefined metrics
@@ -156,12 +157,9 @@ class EvalReport:
     rows: tuple[ReportRow, ...]
     fold_count: int
     seed: int
-    pipeline: str
     aggregation: str = "pooled"
 
     def __post_init__(self) -> None:
-        if self.pipeline not in ("plain", "clustered"):
-            raise EvalError(f"unknown pipeline kind {self.pipeline!r}")
         if self.aggregation not in AGGREGATIONS:
             raise EvalError(f"unknown aggregation {self.aggregation!r}")
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -214,48 +212,6 @@ def _fit_with_context(spec: ClassifierSpec, ds: Dataset, fold: int):
         raise EvalError(f"fold {fold}: fitting {spec.kind} failed: {exc}") from exc
 
 
-def _build_report(specs, per_spec_folds, k, seed, pipeline, aggregation) -> EvalReport:
-    rows = []
-    for spec, folds in zip(specs, per_spec_folds):
-        acc, tpr, tnr = aggregate_metrics(folds, aggregation)
-        rows.append(
-            ReportRow(kind=spec.kind, folds=tuple(folds), accuracy=acc, tpr=tpr, tnr=tnr)
-        )
-    return EvalReport(
-        rows=tuple(rows),
-        fold_count=k,
-        seed=seed,
-        pipeline=pipeline,
-        aggregation=aggregation,
-    )
-
-
-def run_plain_pipeline(
-    ds: Dataset,
-    specs,
-    k: int = 10,
-    seed: int = 0,
-    aggregation: str = "pooled",
-    _trace=None,
-) -> EvalReport:
-    """k-fold CV of each spec on the whole training split per fold."""
-    _check_pipeline_input(ds, specs)
-    folds = kfold_indices(ds.labels, k=k, seed=seed)
-    all_rows = np.arange(ds.n)
-    per_spec_folds: list[list[ConfusionCounts]] = [[] for _ in specs]
-    for i, test_idx in enumerate(folds):
-        train = ds.take(np.setdiff1d(all_rows, test_idx))
-        test = ds.take(test_idx)
-        for s, spec in enumerate(specs):
-            fit_spec = replace(spec, seed=derive_seed(seed, "fit", spec.kind, i, 0))
-            if _trace is not None:
-                _trace("train", i, train.ids)
-            model = _fit_with_context(fit_spec, train, i)
-            preds = predict_batch(model, test.features)
-            per_spec_folds[s].append(ConfusionCounts.from_predictions(test.labels, preds))
-    return _build_report(specs, per_spec_folds, k, seed, "plain", aggregation)
-
-
 def _route_empty_clusters(test_X, test_assign, centroids, non_empty, fold):
     """Test rows in clusters with no training rows move to the nearest
     non-empty cluster."""
@@ -291,6 +247,8 @@ def run_clustered_pipeline(
     it exists for comparison against that published ordering.
     """
     _check_pipeline_input(ds, specs)
+    if aggregation not in AGGREGATIONS:
+        raise EvalError(f"unknown aggregation {aggregation!r}")
     if cluster_k < 1:
         raise EvalError(f"cluster_k must be >= 1, got {cluster_k}")
     if ds.n < cluster_k * 2:
@@ -348,7 +306,35 @@ def run_clustered_pipeline(
                 if mask.any():
                     preds[mask] = predict_batch(model, test.features[mask])
             per_spec_folds[s].append(ConfusionCounts.from_predictions(test.labels, preds))
-    return _build_report(specs, per_spec_folds, k, seed, "clustered", aggregation)
+    rows = []
+    for spec, spec_folds in zip(specs, per_spec_folds):
+        acc, tpr, tnr = aggregate_metrics(spec_folds, aggregation)
+        rows.append(
+            ReportRow(kind=spec.kind, folds=tuple(spec_folds), accuracy=acc, tpr=tpr, tnr=tnr)
+        )
+    return EvalReport(rows=tuple(rows), fold_count=k, seed=seed, aggregation=aggregation)
+
+
+def run_plain_pipeline(
+    ds: Dataset,
+    specs,
+    k: int = 10,
+    seed: int = 0,
+    aggregation: str = "pooled",
+    _trace=None,
+) -> EvalReport:
+    """k-fold CV of each spec on the whole training split per fold: the
+    clustered pipeline with one cluster and no SMOTE."""
+    return run_clustered_pipeline(
+        ds,
+        specs,
+        cluster_k=1,
+        k=k,
+        seed=seed,
+        smote=False,
+        aggregation=aggregation,
+        _trace=_trace,
+    )
 
 
 # --- clustering comparison ---------------------------------------------------

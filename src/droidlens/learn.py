@@ -508,13 +508,6 @@ def predict_batch(model: ClassifierModel, X) -> np.ndarray:
     return _predict_random_forest(model.params, X)
 
 
-def predict(model: ClassifierModel, x) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise LearnError(f"expected a 1-D point, got shape {x.shape}")
-    return int(predict_batch(model, x[None, :])[0])
-
-
 # --- serialization --------------------------------------------------------------------
 
 _FORMAT = "droidlens-model"

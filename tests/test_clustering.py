@@ -18,7 +18,6 @@ from droidlens.clustering import (
     Assignment,
     KMeansModel,
     agglomerative,
-    assign_clusters,
     assign_clusters_batch,
     birch,
     calinski_harabasz,
@@ -686,20 +685,19 @@ def test_validity_indices_match_oracles_on_random_data():
         assert sil == pytest.approx(sil_ref, rel=1e-9, abs=1e-12)
 
 
-# --- assign_clusters -------------------------------------------------------------
+# --- assign_clusters_batch -------------------------------------------------------
 
 
 def test_assign_exact_centroid_and_tie():
     model = KMeansModel(centroids=np.array([[0.0, 0.0], [4.0, 0.0]]), sse=0.0, iterations=1)
-    assert assign_clusters(np.array([4.0, 0.0]), model) == 1
-    assert assign_clusters(np.array([2.0, 0.0]), model) == 0  # equidistant tie
-    assert assign_clusters(np.array([3.9, 0.1]), model) == 1
+    points = np.array([[4.0, 0.0], [2.0, 0.0], [3.9, 0.1]])  # exact, equidistant tie, near
+    assert assign_clusters_batch(points, model).tolist() == [1, 0, 1]
 
 
 def test_assign_dimension_mismatch():
     model = KMeansModel(centroids=np.array([[0.0, 0.0]]), sse=0.0, iterations=1)
     with pytest.raises(ClusterError):
-        assign_clusters(np.array([1.0, 2.0, 3.0]), model)
+        assign_clusters_batch(np.array([1.0, 2.0, 3.0]), model)
     with pytest.raises(ClusterError):
         assign_clusters_batch(np.zeros((2, 3)), model)
 
@@ -708,6 +706,20 @@ def test_assign_batch_matches_single():
     rng = np.random.default_rng(3)
     X = rng.normal(0, 5, (40, 3))
     model, _ = kmeans(X, 4, seed=3)
-    batch = assign_clusters_batch(X, model)
-    singles = [assign_clusters(row, model) for row in X]
-    assert batch.tolist() == singles
+    # A duplicated centroid puts its own probe row on an exact tie.
+    tied = KMeansModel(
+        centroids=np.vstack([model.centroids, model.centroids[2]]), sse=0.0, iterations=1
+    )
+    probe = np.vstack([X, model.centroids])
+
+    def nearest(row, centroids):
+        best, best_d = 0, math.inf
+        for c, centroid in enumerate(centroids.tolist()):
+            d = sum((a - b) ** 2 for a, b in zip(row.tolist(), centroid))
+            if d < best_d:  # strict: ties keep the lowest index
+                best, best_d = c, d
+        return best
+
+    for m in (model, tied):
+        singles = [nearest(row, m.centroids) for row in probe]
+        assert assign_clusters_batch(probe, m).tolist() == singles

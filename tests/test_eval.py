@@ -195,12 +195,10 @@ def test_report_rejects_tampered_metrics():
     folds = (ConfusionCounts(tp=5, tn=5), ConfusionCounts(tp=4, tn=4, fp=1, fn=1))
     acc, tpr, tnr = aggregate_metrics(folds, "pooled")
     row = ReportRow(kind="decision_tree", folds=folds, accuracy=acc, tpr=tpr, tnr=tnr)
-    EvalReport(rows=(row,), fold_count=2, seed=0, pipeline="plain")
+    EvalReport(rows=(row,), fold_count=2, seed=0)
     bad = ReportRow(kind="decision_tree", folds=folds, accuracy=0.123, tpr=tpr, tnr=tnr)
     with pytest.raises(EvalError, match="disagree"):
-        EvalReport(rows=(bad,), fold_count=2, seed=0, pipeline="plain")
-    with pytest.raises(EvalError, match="pipeline"):
-        EvalReport(rows=(row,), fold_count=2, seed=0, pipeline="other")
+        EvalReport(rows=(bad,), fold_count=2, seed=0)
 
 
 # --- plain pipeline ----------------------------------------------------------
@@ -257,12 +255,20 @@ def test_clustered_pipeline_beats_plain_on_four_blobs():
     assert float(np.mean(gaps)) >= 0.10
 
 
-def test_reduction_identity_with_smote_off():
-    ds = two_blob_dataset(6, per=25, sigma=2.5)
-    specs = [ClassifierSpec(kind=k) for k in KINDS]
-    plain = run_plain_pipeline(ds, specs, k=5, seed=11)
+@pytest.mark.parametrize(
+    "ds, k",
+    [
+        (two_blob_dataset(6, per=25, sigma=2.5), 5),
+        # One training row per fold: the constant one-row model.
+        (make_ds([[0.0], [1.0]], [0, 1]), 2),
+    ],
+    ids=["two_blobs", "two_rows"],
+)
+def test_reduction_identity_with_smote_off(ds, k):
+    specs = [ClassifierSpec(kind=kind) for kind in KINDS]
+    plain = run_plain_pipeline(ds, specs, k=k, seed=11)
     reduced = run_clustered_pipeline(
-        ds, specs, cluster_k=1, k=5, seed=11, smote=False
+        ds, specs, cluster_k=1, k=k, seed=11, smote=False
     )
     assert report_csv(reduced) == report_csv(plain)
     assert report_text(reduced) == report_text(plain)
@@ -300,6 +306,16 @@ def test_empty_cluster_rerouting_logged(caplog):
     assert report.fold_count == 3
 
 
+@pytest.mark.parametrize("run", [run_plain_pipeline, run_clustered_pipeline])
+def test_unknown_aggregation_rejected_before_fitting(run, monkeypatch):
+    def no_fit(spec, ds):
+        raise AssertionError("fit called before aggregation was checked")
+
+    monkeypatch.setattr(evaluate, "fit", no_fit)
+    with pytest.raises(EvalError, match="unknown aggregation"):
+        run(two_blob_dataset(0, per=5), [LR], k=2, seed=0, aggregation="median")
+
+
 def test_clustered_pipeline_validation():
     ds = two_blob_dataset(0, per=3)
     with pytest.raises(EvalError, match="cluster_k"):
@@ -308,17 +324,24 @@ def test_clustered_pipeline_validation():
         run_clustered_pipeline(ds, [LR], cluster_k=4, k=2, seed=0)
 
 
-def test_no_test_rows_reach_training_stages():
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ds, trace: run_plain_pipeline(ds, [LR], k=5, seed=3, _trace=trace),
+        lambda ds, trace: run_clustered_pipeline(
+            ds, [LR], cluster_k=2, k=5, seed=3, _trace=trace
+        ),
+    ],
+    ids=["plain", "clustered"],
+)
+def test_no_test_rows_reach_training_stages(run):
     ds = two_blob_dataset(8, per=15, sigma=2.0)
     events = []
-    folds_seen = {}
 
     def trace(event, fold, ids):
         events.append((event, fold, set(ids)))
 
-    report = run_clustered_pipeline(
-        ds, [LR], cluster_k=2, k=5, seed=3, _trace=trace
-    )
+    report = run(ds, trace)
     from droidlens.evaluate import kfold_indices as kf
 
     folds = kf(ds.labels, k=5, seed=3)
@@ -481,7 +504,7 @@ def test_report_renders_undefined_marker():
     folds = (ConfusionCounts(tn=3, fp=1), ConfusionCounts(tn=2))
     acc, tpr, tnr = aggregate_metrics(folds, "pooled")
     row = ReportRow(kind="gaussian_nb", folds=folds, accuracy=acc, tpr=tpr, tnr=tnr)
-    report = EvalReport(rows=(row,), fold_count=2, seed=0, pipeline="plain")
+    report = EvalReport(rows=(row,), fold_count=2, seed=0)
     assert f",{UNDEFINED}," in report_csv(report)
     assert UNDEFINED in report_text(report)
     assert "nan" not in report_csv(report).lower()

@@ -27,7 +27,6 @@ from droidlens.learn import (
     fit,
     interpolate,
     load_model,
-    predict,
     predict_batch,
     save_model,
     smote_balance,
@@ -637,15 +636,15 @@ def test_nb_matches_posterior_oracle():
     X = np.vstack([rng.normal(-1, 0.1, (50, 1)), rng.normal(1, 0.1, (50, 1))])
     ds = make_ds(X, [0] * 50 + [1] * 50)
     model = fit(ClassifierSpec(kind="gaussian_nb", seed=0), ds)
-    assert predict(model, np.array([0.9])) == 1
-    assert predict(model, np.array([-0.9])) == 0
+    assert predict_batch(model, np.array([0.9])[None, :])[0] == 1
+    assert predict_batch(model, np.array([-0.9])[None, :])[0] == 0
     p = model.params
     for x in np.linspace(-2, 2, 41):
         post = nb_posterior_oracle(
             [x], p["priors"], p["means"].tolist(), p["variances"].tolist()
         )
         expected = 1 if post[1] > post[0] else 0
-        assert predict(model, np.array([x])) == expected
+        assert predict_batch(model, np.array([x])[None, :])[0] == expected
 
 
 def test_svm_separable_blobs():
@@ -675,14 +674,14 @@ def test_constant_model_on_single_class():
     for kind in KINDS:
         model = fit(ClassifierSpec(kind=kind, seed=0), ds)
         assert model.constant == 1
-        assert predict(model, np.array([123.0])) == 1
+        assert predict_batch(model, np.array([123.0])[None, :])[0] == 1
 
 
 def test_dt_pure_leaf_recalls_training_point():
     ds = make_ds([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0], [4.0, 4.5]], [0, 1, 0, 1])
     model = fit(ClassifierSpec(kind="decision_tree", seed=0), ds)
     for row, label in zip(ds.features, ds.labels):
-        assert predict(model, row) == label
+        assert predict_batch(model, row[None, :])[0] == label
 
 
 def test_rf_vote_identity_with_identical_trees():
@@ -701,7 +700,7 @@ def test_vote_tie_breaks_to_benign():
     model = ClassifierModel(
         kind="random_forest", params={"trees": [t0, t1], "mtry": 1, "dim": 1}
     )
-    assert predict(model, np.array([0.0])) == 0
+    assert predict_batch(model, np.array([0.0])[None, :])[0] == 0
 
 
 @st.composite
@@ -767,7 +766,7 @@ def test_nb_zero_variance_feature_floored():
     ds = make_ds(X, [0, 0, 1, 1])
     model = fit(ClassifierSpec(kind="gaussian_nb", seed=0), ds)
     assert np.all(model.params["variances"] > 0)
-    assert predict(model, np.array([1.0, 2.5])) in (0, 1)
+    assert predict_batch(model, np.array([1.0, 2.5])[None, :])[0] in (0, 1)
 
 
 def test_lr_drops_constant_features():
@@ -791,7 +790,7 @@ def test_predict_dimension_mismatch():
     ds = two_blob_ds(1, per=5)
     model = fit(ClassifierSpec(kind="decision_tree"), ds)
     with pytest.raises(LearnError, match="features"):
-        predict(model, np.array([1.0, 2.0, 3.0]))
+        predict_batch(model, np.array([[1.0, 2.0, 3.0]]))
 
 
 @given(
