@@ -18,6 +18,8 @@ The input is treated as adversarial:
   against the ULEB128 values left in the buffer before anything is
   sized from them.
 
+``parse_dex`` reads the ``class_data_off`` column of the class_def
+table as one array, with no Python object per class.
 ``opcode_histogram`` works on the whole file at once with numpy.  It
 decodes every class_data ULEB128 from the positions of the terminator
 bytes (a few 8-byte entries per byte of the class_data span), then
@@ -150,22 +152,12 @@ class DexHeader:
 
 
 @dataclass(frozen=True)
-class ClassDef:
-    class_idx: int
-    access_flags: int
-    superclass_idx: int
-    interfaces_off: int
-    source_file_idx: int
-    annotations_off: int
-    class_data_off: int
-    static_values_off: int
-
-
-@dataclass(frozen=True)
 class DexFile:
     version: int
     header: DexHeader
-    class_defs: tuple[ClassDef, ...]
+    # class_data_off of each class_def, in table order.  It is read from
+    # ``data``, so comparisons leave it out.
+    class_data_offs: np.ndarray = field(repr=False, compare=False)
     data: bytes = field(repr=False)
 
 
@@ -284,11 +276,12 @@ def parse_dex(data: bytes, verify_checksum: bool = False) -> DexFile:
     if header.map_off and header.map_off >= limit:
         raise DexParseError("map_off is out of bounds")
 
-    class_defs = []
-    for i in range(header.class_defs_size):
-        raw = struct.unpack_from("<8I", data, header.class_defs_off + 32 * i)
-        class_defs.append(ClassDef(*raw))
-    return DexFile(version=version, header=header, class_defs=tuple(class_defs), data=data)
+    # class_data_off is the seventh of a class_def's eight uint32 fields.
+    # An empty table's offset is left unchecked, so it is not read.
+    n = header.class_defs_size
+    table = np.frombuffer(data, "<u4", count=8 * n, offset=header.class_defs_off if n else 0)
+    class_data_offs = table.reshape(n, 8)[:, 6].astype(np.int64)
+    return DexFile(version=version, header=header, class_data_offs=class_data_offs, data=data)
 
 
 def instruction_width(code_units, index: int) -> int:
@@ -692,9 +685,7 @@ def opcode_histogram(dex: DexFile) -> OpcodeHistogram:
     error names the lowest class_def whose class_data or code items fail.
     """
     u8 = np.frombuffer(dex.data, dtype=np.uint8)
-    starts = np.fromiter((c.class_data_off for c in dex.class_defs), dtype=np.int64,
-                         count=len(dex.class_defs))
-    classes = _ClassData(u8, starts)
+    classes = _ClassData(u8, dex.class_data_offs)
     terms = classes.code_terminators()
     values = classes.values(terms)
     named = values != 0

@@ -35,7 +35,7 @@ from .clustering import (
 )
 from .dataset import Dataset
 from .errors import ClusterError, EvalError, LearnError
-from .learn import ClassifierModel, ClassifierSpec, fit, predict_batch, smote_balance
+from .learn import ClassifierSpec, fit, predict_batch, smote_balance
 from .rng import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -237,7 +237,6 @@ def run_clustered_pipeline(
     smote: bool = True,
     paper_protocol: bool = False,
     aggregation: str = "pooled",
-    _trace=None,
 ) -> EvalReport:
     """Cluster-then-classify CV.
 
@@ -257,8 +256,6 @@ def run_clustered_pipeline(
     global_km = None
     if paper_protocol:
         global_km, _ = kmeans(ds.features, cluster_k, seed=derive_seed(seed, "cluster"))
-        if _trace is not None:
-            _trace("cluster-fit", -1, ds.ids)
     all_rows = np.arange(ds.n)
     per_spec_folds: list[list[ConfusionCounts]] = [[] for _ in specs]
     for i, test_idx in enumerate(folds):
@@ -268,8 +265,6 @@ def run_clustered_pipeline(
             km = global_km
         else:
             km, _ = kmeans(train.features, cluster_k, seed=derive_seed(seed, "cluster", i))
-            if _trace is not None:
-                _trace("cluster-fit", i, train.ids)
         train_assign = assign_clusters_batch(train.features, km)
         test_assign = assign_clusters_batch(test.features, km)
         non_empty = sorted(int(c) for c in np.unique(train_assign))
@@ -290,18 +285,8 @@ def run_clustered_pipeline(
         for s, spec in enumerate(specs):
             preds = np.zeros(test.n, dtype=np.int64)
             for c in non_empty:
-                sub = cluster_data[c]
                 fit_spec = replace(spec, seed=derive_seed(seed, "fit", spec.kind, i, c))
-                if _trace is not None:
-                    _trace("train", i, sub.ids)
-                if sub.n == 1:
-                    # One-row cluster: below fit()'s minimum, and single
-                    # class by definition, so predict that class.
-                    model = ClassifierModel(
-                        kind=spec.kind, params={"dim": sub.dim}, constant=int(sub.labels[0])
-                    )
-                else:
-                    model = _fit_with_context(fit_spec, sub, i)
+                model = _fit_with_context(fit_spec, cluster_data[c], i)
                 mask = routed == c
                 if mask.any():
                     preds[mask] = predict_batch(model, test.features[mask])
@@ -321,7 +306,6 @@ def run_plain_pipeline(
     k: int = 10,
     seed: int = 0,
     aggregation: str = "pooled",
-    _trace=None,
 ) -> EvalReport:
     """k-fold CV of each spec on the whole training split per fold: the
     clustered pipeline with one cluster and no SMOTE."""
@@ -333,7 +317,6 @@ def run_plain_pipeline(
         seed=seed,
         smote=False,
         aggregation=aggregation,
-        _trace=_trace,
     )
 
 

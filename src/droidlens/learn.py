@@ -79,8 +79,6 @@ class ClassifierModel:
 def _training_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     if ds.n == 0:
         raise LearnError("cannot fit on an empty dataset")
-    if ds.n < 2:
-        raise LearnError(f"need at least 2 rows to fit, got {ds.n}")
     X = np.asarray(ds.features, dtype=np.float64)
     if not np.isfinite(X).all():
         raise LearnError("features contain NaN or infinity")

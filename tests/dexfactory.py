@@ -143,6 +143,11 @@ def build_dex(
     return build_dex_raw(code_items, class_data, version)
 
 
+def build_empty_classes(n: int) -> bytes:
+    """A DEX of ``n`` class_defs, none of them with class_data."""
+    return build_dex([None] * n)
+
+
 # --- Known-content fixtures with hand-computed histograms ---------------
 
 # const/4; const/16; nop with a stray high byte; return-void.

@@ -10,6 +10,7 @@ The per-method walk that the vectorised pass replaced is kept here as
 import random
 import re
 import struct
+import tracemalloc
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -155,8 +156,9 @@ def test_parse_exposes_header_and_class_defs():
     assert dex.header.header_size == 0x70
     assert dex.header.endian_tag == 0x12345678
     assert dex.header.file_size == len(data)
-    assert len(dex.class_defs) == 3
-    assert dex.class_defs[2].class_data_off == 0
+    assert dex.class_data_offs.tolist() == _class_data_offs(data)
+    assert len(dex.class_data_offs) == 3
+    assert dex.class_data_offs[2] == 0
     assert dex.header.checksum == zlib.adler32(data[12:])
 
 
@@ -221,6 +223,16 @@ def test_class_defs_out_of_bounds():
         parse_dex(bytes(data))
 
 
+def test_empty_class_defs_table_may_point_anywhere():
+    # An empty section is not bounds-checked, so its offset may lie past
+    # the buffer; the table is then simply empty.
+    data = bytearray(dexfactory.fixture_empty())
+    struct.pack_into("<I", data, 100, 0xFFFFFFF0)  # class_defs_off
+    dex = parse_dex(bytes(data))
+    assert dex.class_data_offs.size == 0
+    assert opcode_histogram(dex).counts == (0,) * 256
+
+
 def test_unused_opcode_rejected():
     for op in (0x3E, 0x73, 0x79, 0xE3, 0xF9):
         data = build_dex([[[op, 0x000E]]])
@@ -244,7 +256,7 @@ def test_error_names_the_class():
 def test_code_off_outside_buffer():
     data = bytearray(dexfactory.fixture_plain())
     dex = parse_dex(bytes(data))
-    class_data_off = dex.class_defs[0].class_data_off
+    class_data_off = int(dex.class_data_offs[0])
     # Rewrite the method's code_off uleb to point past the end.  The
     # fixture encodes it in two bytes; keep the length identical.
     off = class_data_off + 4 + 2  # sizes, method_idx_diff, access_flags
@@ -410,15 +422,22 @@ def _iter_code_offsets(data: bytes, class_data_off: int):
             yield code_off
 
 
+def _class_data_offs(data: bytes) -> list[int]:
+    """class_data_off of each class_def, read from the table one field at
+    a time with the header's class_defs_size and class_defs_off."""
+    size, table = struct.unpack_from("<II", data, 96)
+    return [struct.unpack_from("<I", data, table + 32 * i + 24)[0] for i in range(size)]
+
+
 def _reference_opcode_histogram(dex) -> OpcodeHistogram:
     data = dex.data
     failing: set[int] = set()
     namers: dict[int, set[int]] = {}  # code_off -> the classes naming it
-    for index, class_def in enumerate(dex.class_defs):
-        if class_def.class_data_off == 0:
+    for index, class_data_off in enumerate(_class_data_offs(data)):
+        if class_data_off == 0:
             continue
         try:
-            offsets = list(_iter_code_offsets(data, class_def.class_data_off))
+            offsets = list(_iter_code_offsets(data, class_data_off))
         except DexParseError:
             failing.add(index)
             continue
@@ -583,7 +602,7 @@ def test_shared_and_overlapping_class_data_count_once():
 
     data = build_dex_raw([insns], class_data)
     dex = parse_dex(data)
-    assert len({c.class_data_off for c in dex.class_defs}) == 2
+    assert len(set(dex.class_data_offs.tolist())) == 2
     hist = opcode_histogram(dex)
     assert hist.counts == histogram_tuple({0x12: 1, 0x0E: 1})
     assert hist == _reference_opcode_histogram(dex)
@@ -661,6 +680,21 @@ def test_walk_errors_name_the_fault(insns, words):
         extract_histogram(data)
 
 
+def test_class_def_table_memory_stays_linear():
+    # The class_def table is read as one array: no Python object per
+    # class_def, so 50,000 empty ones cost well under two bytes of heap
+    # per file byte.
+    data = dexfactory.build_empty_classes(50_000)
+    tracemalloc.start()
+    try:
+        hist = extract_histogram(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.total == 0
+    assert peak < 2 * len(data)
+
+
 # --- class_data: every ULEB128 is checked, counts before allocation -----------
 
 
@@ -705,7 +739,7 @@ def test_uleb128_of_six_bytes_rejected(position):
 
 def test_class_data_at_end_of_buffer_rejected():
     data = _with_class_data(b"")
-    assert parse_dex(data).class_defs[0].class_data_off == len(data)
+    assert parse_dex(data).class_data_offs[0] == len(data)
     with pytest.raises(DexParseError, match="class_def 0: class_data offset .* out of bounds"):
         extract_histogram(data)
 
@@ -727,10 +761,8 @@ def _layout(data: bytes):
     Returns the (start, end) of every class_data ULEB, those of the
     code_off ULEBs, the code item offsets and their code unit positions.
     """
-    dex = parse_dex(data)
     ulebs, code_offs = [], []
-    for class_def in dex.class_defs:
-        off = class_def.class_data_off
+    for off in _class_data_offs(data):
         if not off:
             continue
 
@@ -817,7 +849,7 @@ def mutated_dex(draw):
             if at + 4 <= len(data):
                 struct.pack_into("<H", data, at + 2, draw(st.integers(0, 0xFFFF)))
         elif kind == "share_class_data" and n_classes:
-            refs = [c.class_data_off for c in parse_dex(base).class_defs]
+            refs = _class_data_offs(base)
             target = draw(st.sampled_from(refs)) + draw(st.integers(0, 12))
             k = draw(st.integers(0, n_classes - 1))
             struct.pack_into("<I", data, HEADER_SIZE + 32 * k + 24, target)

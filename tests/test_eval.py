@@ -324,47 +324,61 @@ def test_clustered_pipeline_validation():
         run_clustered_pipeline(ds, [LR], cluster_k=4, k=2, seed=0)
 
 
+def _rows(X) -> set:
+    return {tuple(row) for row in np.asarray(X).tolist()}
+
+
+def _record_training_rows(monkeypatch) -> list:
+    """Record, in call order, ``(stage, rows)`` for every k-means call and
+    every fit the fold loop makes, rows taken by content."""
+    calls = []
+    real_kmeans, real_fit = evaluate.kmeans, evaluate.fit
+
+    def kmeans(X, *args, **kwargs):
+        calls.append(("kmeans", _rows(X)))
+        return real_kmeans(X, *args, **kwargs)
+
+    def fit(spec, ds):
+        calls.append(("fit", _rows(ds.features)))
+        return real_fit(spec, ds)
+
+    monkeypatch.setattr(evaluate, "kmeans", kmeans)
+    monkeypatch.setattr(evaluate, "fit", fit)
+    return calls
+
+
 @pytest.mark.parametrize(
     "run",
     [
-        lambda ds, trace: run_plain_pipeline(ds, [LR], k=5, seed=3, _trace=trace),
-        lambda ds, trace: run_clustered_pipeline(
-            ds, [LR], cluster_k=2, k=5, seed=3, _trace=trace
-        ),
+        lambda ds: run_plain_pipeline(ds, [LR], k=5, seed=3),
+        lambda ds: run_clustered_pipeline(ds, [LR], cluster_k=2, k=5, seed=3),
     ],
     ids=["plain", "clustered"],
 )
-def test_no_test_rows_reach_training_stages(run):
+def test_no_test_rows_reach_training_stages(run, monkeypatch):
     ds = two_blob_dataset(8, per=15, sigma=2.0)
-    events = []
+    assert len(_rows(ds.features)) == ds.n  # so rows can be told apart by content
+    calls = _record_training_rows(monkeypatch)
+    report = run(ds)
 
-    def trace(event, fold, ids):
-        events.append((event, fold, set(ids)))
-
-    report = run(ds, trace)
-    from droidlens.evaluate import kfold_indices as kf
-
-    folds = kf(ds.labels, k=5, seed=3)
-    for i, fold in enumerate(folds):
-        test_ids = {ds.ids[j] for j in fold.tolist()}
-        for event, fold_i, ids in events:
-            if fold_i == i:
-                assert not (ids & test_ids), f"fold {i}: {event} saw test rows"
+    # Each fold opens with its own k-means call, so every call belongs to
+    # the fold of the k-means call at or before it.
+    fold_of = np.cumsum([stage == "kmeans" for stage, _ in calls]) - 1
+    assert {(stage, int(i)) for (stage, _), i in zip(calls, fold_of)} == {
+        (stage, i) for stage in ("kmeans", "fit") for i in range(5)
+    }
+    folds = kfold_indices(ds.labels, k=5, seed=3)
+    for (stage, rows), i in zip(calls, fold_of):
+        assert not (rows & _rows(ds.features[folds[i]])), f"fold {i}: {stage} saw test rows"
     assert report.fold_count == 5
 
 
-def test_leak_detector_fires_under_paper_protocol():
+def test_leak_detector_fires_under_paper_protocol(monkeypatch):
     ds = two_blob_dataset(8, per=15, sigma=2.0)
-    cluster_events = []
-
-    def trace(event, fold, ids):
-        if event == "cluster-fit":
-            cluster_events.append((fold, set(ids)))
-
-    run_clustered_pipeline(
-        ds, [LR], cluster_k=2, k=5, seed=3, paper_protocol=True, _trace=trace
-    )
-    assert cluster_events == [(-1, set(ds.ids))]  # every row, test rows included
+    calls = _record_training_rows(monkeypatch)
+    run_clustered_pipeline(ds, [LR], cluster_k=2, k=5, seed=3, paper_protocol=True)
+    kmeans_calls = [rows for stage, rows in calls if stage == "kmeans"]
+    assert kmeans_calls == [_rows(ds.features)]  # every row, test rows included
 
 
 def test_smote_skipped_for_tiny_minority(caplog):

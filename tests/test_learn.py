@@ -670,11 +670,12 @@ def test_rf_separable_blobs():
 
 
 def test_constant_model_on_single_class():
-    ds = make_ds([[0.0], [1.0], [2.0]], [1, 1, 1])
-    for kind in KINDS:
-        model = fit(ClassifierSpec(kind=kind, seed=0), ds)
-        assert model.constant == 1
-        assert predict_batch(model, np.array([123.0])[None, :])[0] == 1
+    # One row is single-class too, so it also gets the constant model.
+    for ds, label in ((make_ds([[0.0], [1.0], [2.0]], [1, 1, 1]), 1), (make_ds([[5.0]], [0]), 0)):
+        for kind in KINDS:
+            model = fit(ClassifierSpec(kind=kind, seed=0), ds)
+            assert model.constant == label
+            assert predict_batch(model, np.array([123.0])[None, :])[0] == label
 
 
 def test_dt_pure_leaf_recalls_training_point():
@@ -781,9 +782,6 @@ def test_fit_errors():
     empty = Dataset(ids=(), features=np.empty((0, 2)), labels=np.array([], dtype=np.int64))
     with pytest.raises(LearnError, match="empty"):
         fit(ClassifierSpec(kind="decision_tree"), empty)
-    tiny = make_ds([[0.0]], [0])
-    with pytest.raises(LearnError, match="at least 2"):
-        fit(ClassifierSpec(kind="decision_tree"), tiny)
 
 
 def test_predict_dimension_mismatch():
