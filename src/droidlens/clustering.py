@@ -271,40 +271,28 @@ def assign_clusters_batch(X, model: KMeansModel) -> np.ndarray:
 
 # --- agglomerative ----------------------------------------------------------
 
-_LINKAGES = ("ward", "complete", "average")
+def agglomerative(X, k: int) -> Assignment:
+    """Bottom-up ward merging from singletons.
 
-
-def agglomerative(X, k: int, linkage: str = "ward") -> Assignment:
-    """Bottom-up merging from singletons.
-
-    Ward merges the pair with minimum variance increase
-    (ni*nj/(ni+nj) * ||ci - cj||^2); complete and average update via
-    the usual max / size-weighted-mean rules.  Among equal merge
-    distances the pair with the lexicographically lowest (i, j) cluster
-    ids wins; a merged cluster keeps the lower of the two ids, so ids
-    stay comparable across rounds.
+    Each round merges the pair with minimum variance increase
+    (ni*nj/(ni+nj) * ||ci - cj||^2).  Among equal merge distances the
+    pair with the lexicographically lowest (i, j) cluster ids wins; a
+    merged cluster keeps the lower of the two ids, so a cluster's id is
+    always its lowest row.  Labels number the clusters in that order.
     """
     X = _as_matrix(X)
     n = X.shape[0]
     _check_k(k, n)
-    if linkage not in _LINKAGES:
-        raise ClusterError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
 
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    owner = np.arange(n)
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
     centroids = X.copy()
 
-    if linkage == "ward":
-        D = 0.5 * _sq_dists(X, X)
-    else:
-        D = np.sqrt(_sq_dists(X, X))
+    D = 0.5 * _sq_dists(X, X)
     # Keep only i < j cells; flat argmin then scans pairs in (i, j)
     # lexicographic order, which is the documented tie-break.
     D[np.tril_indices(n)] = np.inf
-
-    def pair(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-        return np.minimum(a, b), np.maximum(a, b)
 
     for _ in range(n - k):
         flat = int(np.argmin(D))
@@ -312,40 +300,21 @@ def agglomerative(X, k: int, linkage: str = "ward") -> Assignment:
         others = np.flatnonzero(active)
         others = others[(others != i) & (others != j)]
         ni, nj = sizes[i], sizes[j]
+        centroids[i] = (ni * centroids[i] + nj * centroids[j]) / (ni + nj)
+        sizes[i] = ni + nj
 
-        if linkage == "ward":
-            centroids[i] = (ni * centroids[i] + nj * centroids[j]) / (ni + nj)
-            sizes[i] = ni + nj
-            if others.size:
-                gap = centroids[others] - centroids[i]
-                merged = (sizes[i] * sizes[others] / (sizes[i] + sizes[others])) * (
-                    gap * gap
-                ).sum(axis=1)
-        else:
-            sizes[i] = ni + nj
-            if others.size:
-                di = D[pair(others, i)]
-                dj = D[pair(others, j)]
-                if linkage == "complete":
-                    merged = np.maximum(di, dj)
-                else:
-                    merged = (ni * di + nj * dj) / (ni + nj)
-
-        members[i].extend(members[j])
-        del members[j]
+        owner[owner == j] = i
         active[j] = False
         D[j, :] = np.inf
         D[:, j] = np.inf
         if others.size:
-            rows, cols = pair(others, i)
-            D[rows, cols] = merged
+            gap = centroids[others] - centroids[i]
+            merged = (sizes[i] * sizes[others] / (sizes[i] + sizes[others])) * (
+                gap * gap
+            ).sum(axis=1)
+            D[np.minimum(others, i), np.maximum(others, i)] = merged
 
-    ordered = sorted(members.values(), key=min)
-    labels = [0] * n
-    for cid, rows in enumerate(ordered):
-        for r in rows:
-            labels[r] = cid
-    return Assignment(labels=tuple(labels), k=k)
+    return Assignment(labels=tuple(np.unique(owner, return_inverse=True)[1]), k=k)
 
 
 # --- BIRCH -------------------------------------------------------------------
@@ -489,7 +458,7 @@ def birch(X, k: int, threshold: float | None = None, branching: int = 50) -> Ass
         )
 
     centroids = np.array([e.centroid() for e in entries])
-    grouping = agglomerative(centroids, k, linkage="ward")
+    grouping = agglomerative(centroids, k)
     final = np.zeros((k, X.shape[1]))
     weights = np.zeros(k)
     for entry, cid in zip(entries, grouping.labels):

@@ -6,10 +6,10 @@ test rows are routed to the model of their nearest centroid.  The
 plain pipeline, which trains one model per fold on the whole training
 split, is implemented as that loop with one cluster and SMOTE off.
 
-Metric aggregation pools confusion counts over folds by default; a
-fold-mean mode averages per-fold metrics instead.  Undefined metrics
-(zero denominator) are carried as None and rendered as a marker
-string, never as NaN.
+Each report row keeps its classifier's per-fold confusion counts;
+its metrics are computed from those counts pooled over the folds.
+Undefined metrics (zero denominator) are carried as None and rendered
+as a marker string, never as NaN.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ DISPLAY_NAMES = {
     "decision_tree": "Decision Trees",
     "random_forest": "Random Forest",
 }
-
-AGGREGATIONS = ("pooled", "fold-mean")
 
 
 @dataclass(frozen=True)
@@ -108,10 +106,11 @@ def metrics(c: ConfusionCounts) -> tuple[float | None, float | None, float | Non
 def kfold_indices(labels, k: int = 10, seed: int = 0, stratified: bool = True):
     """Disjoint, exhaustive folds with sizes differing by at most one.
 
-    Stratified mode deals each class's shuffled rows round-robin from a
-    shared fold pointer, which bounds both the per-class and the total
-    per-fold spread by one.  Falls back to a plain split (with a
-    warning) when some class has fewer than k rows.
+    Rows are dealt round-robin to the folds from one order.  In
+    stratified mode that order is each class's shuffled rows, class
+    after class, which bounds both the per-class and the total per-fold
+    spread by one.  Falls back to a plain split (with a warning) when
+    some class has fewer than k rows.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -122,7 +121,6 @@ def kfold_indices(labels, k: int = 10, seed: int = 0, stratified: bool = True):
     if k > n:
         raise EvalError(f"cannot split {n} rows into {k} folds")
     rng = derive_rng(seed, "folds")
-    folds: list[list[int]] = [[] for _ in range(k)]
     classes = np.unique(labels)
     if stratified and min(int((labels == c).sum()) for c in classes) < k:
         logger.warning(
@@ -130,26 +128,38 @@ def kfold_indices(labels, k: int = 10, seed: int = 0, stratified: bool = True):
         )
         stratified = False
     if stratified:
-        ptr = 0
-        for c in classes:
-            idx = np.flatnonzero(labels == c)
+        per_class = [np.flatnonzero(labels == c) for c in classes]
+        for idx in per_class:
             rng.shuffle(idx)
-            for j in idx:
-                folds[ptr % k].append(int(j))
-                ptr += 1
+        order = np.concatenate(per_class)
     else:
-        for pos, j in enumerate(rng.permutation(n)):
-            folds[pos % k].append(int(j))
-    return [np.array(sorted(f), dtype=np.intp) for f in folds]
+        order = rng.permutation(n)
+    return [np.sort(order[f::k]).astype(np.intp) for f in range(k)]
+
+
+def aggregate_metrics(folds):
+    """Metrics of the confusion counts summed over folds."""
+    return metrics(sum(folds, ConfusionCounts()))
 
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One classifier's per-fold counts; its metrics are the pooled ones."""
+
     kind: str
     folds: tuple[ConfusionCounts, ...]
-    accuracy: float | None
-    tpr: float | None
-    tnr: float | None
+
+    @property
+    def accuracy(self) -> float | None:
+        return aggregate_metrics(self.folds)[0]
+
+    @property
+    def tpr(self) -> float | None:
+        return aggregate_metrics(self.folds)[1]
+
+    @property
+    def tnr(self) -> float | None:
+        return aggregate_metrics(self.folds)[2]
 
 
 @dataclass(frozen=True)
@@ -157,11 +167,8 @@ class EvalReport:
     rows: tuple[ReportRow, ...]
     fold_count: int
     seed: int
-    aggregation: str = "pooled"
 
     def __post_init__(self) -> None:
-        if self.aggregation not in AGGREGATIONS:
-            raise EvalError(f"unknown aggregation {self.aggregation!r}")
         object.__setattr__(self, "rows", tuple(self.rows))
         for row in self.rows:
             if len(row.folds) != self.fold_count:
@@ -169,32 +176,6 @@ class EvalReport:
                     f"{row.kind}: {len(row.folds)} fold counts for "
                     f"{self.fold_count} folds"
                 )
-            expected = aggregate_metrics(row.folds, self.aggregation)
-            got = (row.accuracy, row.tpr, row.tnr)
-            for want, have in zip(expected, got):
-                if want is None or have is None:
-                    if want is not have:
-                        raise EvalError(f"{row.kind}: stored metrics disagree with counts")
-                elif abs(want - have) > 1e-12:
-                    raise EvalError(f"{row.kind}: stored metrics disagree with counts")
-
-
-def aggregate_metrics(folds, aggregation: str = "pooled"):
-    """Metrics from per-fold counts: pooled sums or mean of defined folds."""
-    folds = tuple(folds)
-    if aggregation == "pooled":
-        total = ConfusionCounts()
-        for c in folds:
-            total = total + c
-        return metrics(total)
-    if aggregation != "fold-mean":
-        raise EvalError(f"unknown aggregation {aggregation!r}")
-    per_fold = [metrics(c) for c in folds]
-    out = []
-    for i in range(3):
-        defined = [m[i] for m in per_fold if m[i] is not None]
-        out.append(sum(defined) / len(defined) if defined else None)
-    return tuple(out)
 
 
 def _check_pipeline_input(ds: Dataset, specs) -> None:
@@ -236,7 +217,6 @@ def run_clustered_pipeline(
     seed: int = 0,
     smote: bool = True,
     paper_protocol: bool = False,
-    aggregation: str = "pooled",
 ) -> EvalReport:
     """Cluster-then-classify CV.
 
@@ -246,8 +226,6 @@ def run_clustered_pipeline(
     it exists for comparison against that published ordering.
     """
     _check_pipeline_input(ds, specs)
-    if aggregation not in AGGREGATIONS:
-        raise EvalError(f"unknown aggregation {aggregation!r}")
     if cluster_k < 1:
         raise EvalError(f"cluster_k must be >= 1, got {cluster_k}")
     if ds.n < cluster_k * 2:
@@ -291,33 +269,17 @@ def run_clustered_pipeline(
                 if mask.any():
                     preds[mask] = predict_batch(model, test.features[mask])
             per_spec_folds[s].append(ConfusionCounts.from_predictions(test.labels, preds))
-    rows = []
-    for spec, spec_folds in zip(specs, per_spec_folds):
-        acc, tpr, tnr = aggregate_metrics(spec_folds, aggregation)
-        rows.append(
-            ReportRow(kind=spec.kind, folds=tuple(spec_folds), accuracy=acc, tpr=tpr, tnr=tnr)
-        )
-    return EvalReport(rows=tuple(rows), fold_count=k, seed=seed, aggregation=aggregation)
+    rows = [
+        ReportRow(kind=spec.kind, folds=tuple(spec_folds))
+        for spec, spec_folds in zip(specs, per_spec_folds)
+    ]
+    return EvalReport(rows=rows, fold_count=k, seed=seed)
 
 
-def run_plain_pipeline(
-    ds: Dataset,
-    specs,
-    k: int = 10,
-    seed: int = 0,
-    aggregation: str = "pooled",
-) -> EvalReport:
+def run_plain_pipeline(ds: Dataset, specs, k: int = 10, seed: int = 0) -> EvalReport:
     """k-fold CV of each spec on the whole training split per fold: the
     clustered pipeline with one cluster and no SMOTE."""
-    return run_clustered_pipeline(
-        ds,
-        specs,
-        cluster_k=1,
-        k=k,
-        seed=seed,
-        smote=False,
-        aggregation=aggregation,
-    )
+    return run_clustered_pipeline(ds, specs, cluster_k=1, k=k, seed=seed, smote=False)
 
 
 # --- clustering comparison ---------------------------------------------------

@@ -2,8 +2,8 @@
 
 Oracles here are written from the definitions with plain Python loops
 and share no code with the library: direct-definition Calinski-Harabasz
-and silhouette, an exhaustive merge-order explorer for agglomerative
-linkage, and a neighbor-count reachability oracle for DBSCAN.
+and silhouette, an exhaustive merge-order explorer for ward
+agglomeration, and a neighbor-count reachability oracle for DBSCAN.
 """
 
 import itertools
@@ -78,21 +78,14 @@ def oracle_silhouette(X, labels):
     return sum(scores) / len(scores)
 
 
-def oracle_linkage_dist(A, B, X, kind):
-    if kind == "ward":
-        ca = [sum(X[i][j] for i in A) / len(A) for j in range(len(X[0]))]
-        cb = [sum(X[i][j] for i in B) / len(B) for j in range(len(X[0]))]
-        gap = sum((a - b) ** 2 for a, b in zip(ca, cb))
-        return len(A) * len(B) / (len(A) + len(B)) * gap
-    ds = [
-        math.sqrt(sum((X[a][j] - X[b][j]) ** 2 for j in range(len(X[0]))))
-        for a in A
-        for b in B
-    ]
-    return max(ds) if kind == "complete" else sum(ds) / len(ds)
+def oracle_ward_dist(A, B, X):
+    ca = [sum(X[i][j] for i in A) / len(A) for j in range(len(X[0]))]
+    cb = [sum(X[i][j] for i in B) / len(B) for j in range(len(X[0]))]
+    gap = sum((a - b) ** 2 for a, b in zip(ca, cb))
+    return len(A) * len(B) / (len(A) + len(B)) * gap
 
 
-def oracle_merge_outcomes(X, k, kind):
+def oracle_merge_outcomes(X, k):
     """Every k-partition reachable by greedy merging under any tie order."""
     outcomes = set()
 
@@ -101,7 +94,7 @@ def oracle_merge_outcomes(X, k, kind):
             outcomes.add(frozenset(partition))
             return
         pairs = list(itertools.combinations(range(len(partition)), 2))
-        dists = [oracle_linkage_dist(partition[a], partition[b], X, kind) for a, b in pairs]
+        dists = [oracle_ward_dist(partition[a], partition[b], X) for a, b in pairs]
         lo = min(dists)
         for (a, b), dv in zip(pairs, dists):
             if dv <= lo + 1e-12:
@@ -290,24 +283,27 @@ def test_sse_curve_single_k():
 # --- agglomerative -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("linkage", ["ward", "complete", "average"])
-def test_agglomerative_worked_example(linkage):
+def test_agglomerative_worked_example():
     target = frozenset({frozenset({0, 1}), frozenset({2, 3})})
-    outcomes = oracle_merge_outcomes(FOUR_POINTS.tolist(), 2, linkage)
+    outcomes = oracle_merge_outcomes(FOUR_POINTS.tolist(), 2)
     assert outcomes == {target}  # oracle: unique under every tie order
-    assign = agglomerative(FOUR_POINTS, 2, linkage=linkage)
+    assign = agglomerative(FOUR_POINTS, 2)
     assert partition_of(assign) == target
 
 
-@pytest.mark.parametrize("linkage", ["ward", "complete", "average"])
-def test_agglomerative_matches_merge_oracle(linkage):
+def test_agglomerative_matches_merge_oracle():
     rng = np.random.default_rng(42)
+    grid_rng = np.random.default_rng(43)
     for _ in range(30):
         n = int(rng.integers(3, 8))
         k = int(rng.integers(1, n + 1))
         X = rng.normal(0, 2, (n, int(rng.integers(1, 4))))
-        assign = agglomerative(X, k, linkage=linkage)
-        assert partition_of(assign) in oracle_merge_outcomes(X.tolist(), k, linkage)
+        # Points on an integer grid give many equal merge distances.
+        grid = grid_rng.integers(0, 3, X.shape).astype(float)
+        for Z in (X, grid):
+            assign = agglomerative(Z, k)
+            assert partition_of(assign) in oracle_merge_outcomes(Z.tolist(), k)
+            assert list(dict.fromkeys(assign.labels)) == list(range(k))  # ids by first row
 
 
 @given(
@@ -333,8 +329,6 @@ def test_agglomerative_errors():
     X = np.zeros((3, 1))
     with pytest.raises(ClusterError):
         agglomerative(X, 4)
-    with pytest.raises(ClusterError):
-        agglomerative(X, 2, linkage="single")
 
 
 # --- BIRCH -------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 The oracle reassembles the value from 7-bit groups as a binary string,
 most significant group first, and parses it with int(s, 2).  It shares
-no code with the production decoder.
+no code with the production decoders: ``read_uleb128`` and the
+vectorised ``_uleb_values`` that ``extract`` uses.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from droidlens.dex import read_uleb128
+from droidlens.dex import _uleb_values, read_uleb128
 from droidlens.errors import DexParseError
 
 from dexfactory import encode_uleb128
@@ -29,20 +31,35 @@ def oracle_uleb128(data: bytes, offset: int):
     return None
 
 
+def check_vectorised(buf: bytes, offsets, expected) -> None:
+    """Decode every offset at once with ``_uleb_values``, each value ending
+    at the first terminator byte (below 0x80) at or after its start."""
+    u8 = np.frombuffer(buf, dtype=np.uint8)
+    term = np.flatnonzero(u8 < 0x80)
+    begin = np.asarray(offsets, dtype=np.int64)
+    end = term[np.searchsorted(term, begin)]
+    values = _uleb_values(u8, begin, end)
+    assert [(int(v), int(e) + 1) for v, e in zip(values, end)] == expected
+
+
 def test_one_byte_exhaustive():
     buf = bytes(range(0x80))
     for off in range(0x80):
         assert read_uleb128(buf, off) == oracle_uleb128(buf, off) == (buf[off], off + 1)
+    check_vectorised(buf, range(0x80), [oracle_uleb128(buf, off) for off in range(0x80)])
 
 
 def test_two_byte_exhaustive():
     for b0 in range(0x80, 0x100):
         buf = bytes(b for b1 in range(0x80) for b in (b0, b1))
+        expected = []
         for i in range(0x80):
             off = 2 * i
             got = read_uleb128(buf, off)
             assert got == oracle_uleb128(buf, off)
             assert got[1] == off + 2
+            expected.append(got)  # the oracle's value, asserted above
+        check_vectorised(buf, range(0, 0x100, 2), expected)
 
 
 def test_three_byte_exhaustive():
@@ -51,11 +68,14 @@ def test_three_byte_exhaustive():
     for b0 in range(0x80, 0x100):
         for b1 in range(0x80, 0x100):
             buf = bytes(b for b2 in range(0x80) for b in (b0, b1, b2))
+            expected = []
             for i in range(0x80):
                 off = 3 * i
                 got = decode(buf, off)
                 assert got == oracle(buf, off)
                 assert got[1] == off + 3
+                expected.append(got)  # the oracle's value, asserted above
+            check_vectorised(buf, range(0, 0x180, 3), expected)
 
 
 @given(st.integers(min_value=0, max_value=2**35 - 1))
