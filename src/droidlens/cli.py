@@ -47,27 +47,31 @@ DEFAULT_SEED = 42
 PROTOCOLS = ("leakfree", "paper")
 CONFIG_KEYS = ("seed", "cluster_k", "cv_k", "smote", "protocol", "classifiers")
 
-_log_handler: logging.Handler | None = None
+_log_handlers: list[logging.Handler] = []
 
 
 def _setup_logging(verbose: bool, log_file: str | None) -> None:
     """stderr gets timestamp-free warnings (or info with --verbose);
-    timestamps are confined to the optional log file."""
-    global _log_handler
+    timestamps are confined to the optional log file, which gets info
+    either way.  The handlers of an earlier call are removed and closed."""
+    global _log_handlers
     pkg = logging.getLogger("droidlens")
-    pkg.setLevel(logging.INFO if verbose else logging.WARNING)
-    if _log_handler is not None:
-        pkg.removeHandler(_log_handler)
-    _log_handler = logging.StreamHandler(sys.stderr)
-    _log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    pkg.addHandler(_log_handler)
+    for handler in _log_handlers:
+        pkg.removeHandler(handler)
+        handler.close()
+    stream = logging.StreamHandler(sys.stderr)
+    stream.setLevel(logging.INFO if verbose else logging.WARNING)
+    stream.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    _log_handlers = [stream]
     if log_file:
         fh = logging.FileHandler(log_file)
         fh.setFormatter(
             logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")
         )
-        pkg.addHandler(fh)
-        pkg.setLevel(logging.INFO)
+        _log_handlers.append(fh)
+    for handler in _log_handlers:
+        pkg.addHandler(handler)
+    pkg.setLevel(logging.INFO if verbose or log_file else logging.WARNING)
 
 
 # --- config -------------------------------------------------------------------

@@ -105,11 +105,6 @@ class Assignment:
     def n(self) -> int:
         return len(self.labels)
 
-    def noise_fraction(self) -> float:
-        if not self.labels:
-            return 0.0
-        return sum(1 for lab in self.labels if lab == -1) / len(self.labels)
-
 
 @dataclass(frozen=True)
 class KMeansModel:
@@ -186,9 +181,12 @@ def _repair_empty(
     return centroids
 
 
-def kmeans(
-    X, k: int, seed: int, max_iter: int = 300, tol: float = 1e-6
-) -> tuple[KMeansModel, Assignment]:
+_KMEANS_MAX_ITER = 300
+_KMEANS_TOL = 1e-6  # stop once no centroid moves this far
+_SSE_RESTARTS = 10
+
+
+def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, Assignment]:
     """Lloyd iterations from a k-means++ start.
 
     Nearest-centroid ties go to the lowest centroid index.  SSE is
@@ -216,7 +214,7 @@ def kmeans(
                 f"SSE increased from {prev_sse!r} to {sse!r}; Lloyd step is broken"
             )
 
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         labels, dmin, sse = assign(centroids)
         check_monotone(sse)
         prev_sse = sse
@@ -229,7 +227,7 @@ def kmeans(
         iterations += 1
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < _KMEANS_TOL:
             break
 
     labels, _, sse = assign(centroids)
@@ -238,7 +236,7 @@ def kmeans(
     return model, Assignment(labels=tuple(int(v) for v in labels), k=k)
 
 
-def sse_curve(X, k_range, seed: int, n_restarts: int = 10) -> list[tuple[int, float]]:
+def sse_curve(X, k_range, seed: int) -> list[tuple[int, float]]:
     """Best-of-restarts SSE per k, the elbow-method curve."""
     X = _as_matrix(X)
     ks = [int(k) for k in k_range]
@@ -246,12 +244,10 @@ def sse_curve(X, k_range, seed: int, n_restarts: int = 10) -> list[tuple[int, fl
         raise ClusterError("k_range is empty")
     for k in ks:
         _check_k(k, X.shape[0])
-    if n_restarts < 1:
-        raise ClusterError(f"n_restarts must be positive, got {n_restarts}")
     curve = []
     for k in ks:
         best = math.inf
-        for restart in range(n_restarts):
+        for restart in range(_SSE_RESTARTS):
             model, _ = kmeans(X, k, derive_seed(seed, "sse_curve", k, restart))
             best = min(best, model.sse)
         curve.append((k, best))
@@ -422,18 +418,16 @@ def _leaf_entries(node: _CFNode) -> list[_CF]:
     return out
 
 
-def birch(X, k: int, threshold: float | None = None, branching: int = 50) -> Assignment:
+def birch(X, k: int, threshold: float = 0.05, branching: int = 50) -> Assignment:
     """Single-pass CF-tree condensation, then ward over leaf entries.
 
     ``threshold`` is a fraction of the data radius (max distance to the
-    global centroid), default 0.05, so one setting works across raw
-    count scales.  The absolute radius bound is threshold * radius.
+    global centroid), so one setting works across raw count scales.
+    The absolute radius bound is threshold * radius.
     """
     X = _as_matrix(X)
     n = X.shape[0]
     _check_k(k, n)
-    if threshold is None:
-        threshold = 0.05
     if threshold <= 0:
         raise ClusterError(f"threshold must be positive, got {threshold}")
     if branching < 2:
@@ -545,32 +539,29 @@ def _log_gaussian(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np
     return out
 
 
-def gmm(
-    X,
-    k: int,
-    seed: int,
-    max_iter: int = 200,
-    tol: float = 1e-6,
-    reg_floor: float = 1e-6,
-) -> tuple[GmmModel, Assignment]:
+_GMM_MAX_ITER = 200
+_GMM_TOL = 1e-6  # stop once the log likelihood gains less than this
+_GMM_VAR_FLOOR = 1e-6
+
+
+def gmm(X, k: int, seed: int) -> tuple[GmmModel, Assignment]:
     """EM for a diagonal-covariance mixture, seeded from k-means.
 
     Responsibilities are computed in log space; the total log
     likelihood must not decrease by more than 1e-8 between iterations
-    (slack for the variance floor projection).
+    (slack for the variance floor projection).  Variances are floored
+    at ``_GMM_VAR_FLOOR``.
     """
     X = _as_matrix(X)
     n, d = X.shape
     _check_k(k, n)
-    if reg_floor <= 0:
-        raise ClusterError(f"reg_floor must be positive, got {reg_floor}")
 
     _, init = kmeans(X, k, seed)
     init_labels = np.array(init.labels)
     means = np.empty((k, d))
     variances = np.empty((k, d))
     weights = np.empty(k)
-    global_var = np.maximum(X.var(axis=0), reg_floor)
+    global_var = np.maximum(X.var(axis=0), _GMM_VAR_FLOOR)
     for j in range(k):
         rows = X[init_labels == j]
         if rows.shape[0] == 0:
@@ -579,7 +570,7 @@ def gmm(
             weights[j] = 1.0 / n  # tiny but alive; renormalized below
         else:
             means[j] = rows.mean(axis=0)
-            variances[j] = np.maximum(rows.var(axis=0), reg_floor)
+            variances[j] = np.maximum(rows.var(axis=0), _GMM_VAR_FLOOR)
             weights[j] = rows.shape[0] / n
     weights /= weights.sum()
 
@@ -592,13 +583,13 @@ def gmm(
         return float(lse.sum()), np.exp(log_prob - lse[:, None])
 
     prev_ll = -math.inf
-    for _ in range(max_iter):
+    for _ in range(_GMM_MAX_ITER):
         ll, resp = e_step()
         if ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise ClusterError(
                 f"log-likelihood fell from {prev_ll!r} to {ll!r}; EM step is broken"
             )
-        converged = prev_ll != -math.inf and ll - prev_ll < tol
+        converged = prev_ll != -math.inf and ll - prev_ll < _GMM_TOL
         prev_ll = ll
         if converged:
             break
@@ -610,7 +601,7 @@ def gmm(
                 continue
             means[j] = resp[:, j] @ X / mass[j]
             gap = X - means[j]
-            variances[j] = np.maximum(resp[:, j] @ (gap * gap) / mass[j], reg_floor)
+            variances[j] = np.maximum(resp[:, j] @ (gap * gap) / mass[j], _GMM_VAR_FLOOR)
         weights = np.maximum(mass / n, 0.0)
         weights /= weights.sum()
     else:

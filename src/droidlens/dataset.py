@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -84,19 +84,6 @@ class Dataset:
             features=self.features[idx],
             labels=self.labels[idx],
         )
-
-
-def concat_datasets(parts: Sequence[Dataset]) -> Dataset:
-    if not parts:
-        raise DatasetError("cannot concatenate zero datasets")
-    dims = {p.dim for p in parts}
-    if len(dims) > 1:
-        raise DatasetError(f"feature widths differ: {sorted(dims)}")
-    return Dataset(
-        ids=tuple(i for p in parts for i in p.ids),
-        features=np.vstack([p.features for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]),
-    )
 
 
 def _format_cell(value: float) -> str:

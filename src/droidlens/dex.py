@@ -34,7 +34,6 @@ one-instruction form of the same width rules.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,13 +228,12 @@ def _check_section(name: str, off: int, count: int, item_size: int, limit: int) 
         )
 
 
-def parse_dex(data: bytes, verify_checksum: bool = False) -> DexFile:
+def parse_dex(data: bytes) -> DexFile:
     """Parse and validate a DEX buffer.
 
     Checks the magic, header geometry, and that every table the walker
-    needs lies inside the buffer.  The adler32 checksum is verified only
-    when ``verify_checksum`` is set; real-world samples often carry stale
-    checksums.
+    needs lies inside the buffer.  The adler32 checksum is not checked:
+    real-world samples often carry stale checksums, and they parse.
     """
     version = _check_magic(data)
     if len(data) < HEADER_SIZE:
@@ -256,14 +254,6 @@ def parse_dex(data: bytes, verify_checksum: bool = False) -> DexFile:
             f"truncated file: header declares {header.file_size} bytes, "
             f"buffer holds {len(data)}"
         )
-    if verify_checksum:
-        actual = zlib.adler32(data[12 : header.file_size])
-        if actual != header.checksum:
-            raise DexParseError(
-                f"checksum mismatch: header {header.checksum:#010x}, "
-                f"computed {actual:#010x}"
-            )
-
     limit = header.file_size
     _check_section("string_ids", header.string_ids_off, header.string_ids_size, 4, limit)
     _check_section("type_ids", header.type_ids_off, header.type_ids_size, 4, limit)
@@ -708,6 +698,6 @@ def opcode_histogram(dex: DexFile) -> OpcodeHistogram:
     raise DexParseError(f"class_def {c}: {detail}")
 
 
-def extract_histogram(data: bytes, verify_checksum: bool = False) -> OpcodeHistogram:
+def extract_histogram(data: bytes) -> OpcodeHistogram:
     """Parse a DEX buffer and return its opcode histogram."""
-    return opcode_histogram(parse_dex(data, verify_checksum=verify_checksum))
+    return opcode_histogram(parse_dex(data))

@@ -26,7 +26,7 @@ class ClusterError(DroidlensError):
 
 
 class LearnError(DroidlensError):
-    """Invalid classifier spec, training input, or model file."""
+    """Invalid classifier spec or training input."""
 
 
 class EvalError(DroidlensError):

@@ -9,8 +9,8 @@ fixed rule.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -42,6 +42,30 @@ _DEFAULTS: dict[str, dict] = {
     },
 }
 
+_NON_NEGATIVE = ("l2", "grad_tol", "max_iter", "max_depth", "min_samples_split")
+
+
+def _check_hyperparameter(kind: str, key: str, value) -> None:
+    """A key whose default is an int or None takes an integer (or None
+    where the default is); any other key takes a real number.  Bools
+    and strings are neither.  The n_trees and mtry ranges depend on the
+    data and are checked at fit time."""
+    default = _DEFAULTS[kind][key]
+    if value is None and default is None:
+        return
+    integral = default is None or isinstance(default, int)
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integral else numbers.Real
+    ):
+        wanted = "an integer" if integral else "a number"
+        if default is None:
+            wanted += " or null"
+        raise LearnError(f"{kind} {key} must be {wanted}, got {value!r}")
+    if key in _NON_NEGATIVE and not value >= 0:
+        raise LearnError(f"{kind} {key} must be >= 0, got {value!r}")
+    if key == "var_floor_ratio" and not value > 0:
+        raise LearnError(f"{kind} {key} must be > 0, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -58,6 +82,8 @@ class ClassifierSpec:
                 f"unknown hyperparameters for {self.kind}: {sorted(unknown)}; "
                 f"valid keys: {sorted(_DEFAULTS[self.kind])}"
             )
+        for key, value in self.hyperparameters.items():
+            _check_hyperparameter(self.kind, key, value)
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
 
     def resolved(self) -> dict:
@@ -107,16 +133,19 @@ def _neighbor_table(M: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def smote_balance(ds: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
+_SMOTE_NEIGHBORS = 5
+
+
+def smote_balance(ds: Dataset, seed: int = 0) -> Dataset:
     """Oversample the minority class up to the majority count.
 
     Each synthetic is interpolate(x_i, x_nn, u) with u uniform in
-    [0, 1) and x_nn one of x_i's k nearest minority neighbors; base
-    row, neighbor, and u all come from one seeded stream.  Original
-    rows are kept as-is, synthetics are appended with generated ids.
+    [0, 1) and x_nn one of x_i's k nearest minority neighbors, k being
+    ``_SMOTE_NEIGHBORS`` or the minority count less one if that is
+    smaller; base row, neighbor, and u all come from one seeded stream.
+    Original rows are kept as-is, synthetics are appended with
+    generated ids.
     """
-    if k_neighbors < 1:
-        raise LearnError(f"k_neighbors must be positive, got {k_neighbors}")
     y = np.asarray(ds.labels)
     n1 = int((y == 1).sum())
     n0 = int(y.size - n1)
@@ -129,7 +158,7 @@ def smote_balance(ds: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
         raise LearnError(
             f"SMOTE needs at least 2 minority rows, class {minority_label} has {minority_count}"
         )
-    k = min(k_neighbors, minority_count - 1)
+    k = min(_SMOTE_NEIGHBORS, minority_count - 1)
 
     M = ds.features[minority_idx]
     neighbor_table = _neighbor_table(M, k)
@@ -505,64 +534,3 @@ def predict_batch(model: ClassifierModel, X) -> np.ndarray:
         return _tree_predict(model.params["tree"], X)
     return _predict_random_forest(model.params, X)
 
-
-# --- serialization --------------------------------------------------------------------
-
-_FORMAT = "droidlens-model"
-_FORMAT_VERSION = 1
-
-
-def _encode(value):
-    if isinstance(value, np.ndarray):
-        return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _decode(value):
-    if isinstance(value, dict):
-        if "__ndarray__" in value:
-            return np.array(value["__ndarray__"], dtype=value["dtype"])
-        return {k: _decode(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    return value
-
-
-def save_model(model: ClassifierModel, path) -> None:
-    doc = {
-        "format": _FORMAT,
-        "version": _FORMAT_VERSION,
-        "kind": model.kind,
-        "constant": model.constant,
-        "params": _encode(model.params),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_model(path) -> ClassifierModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LearnError(f"{path}: not a model file: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise LearnError(f"{path}: not a {_FORMAT} file")
-    if doc.get("version") != _FORMAT_VERSION:
-        raise LearnError(f"{path}: unsupported model version {doc.get('version')!r}")
-    if doc.get("kind") not in KINDS:
-        raise LearnError(f"{path}: unknown model kind {doc.get('kind')!r}")
-    constant = doc.get("constant")
-    return ClassifierModel(
-        kind=doc["kind"],
-        params=_decode(doc.get("params", {})),
-        constant=None if constant is None else int(constant),
-    )

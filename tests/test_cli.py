@@ -290,6 +290,22 @@ def test_bad_config_exits_1(labeled_csv, tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_bad_hyperparameter_value_exits_1(labeled_csv, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    for hp in ({"l2": "0.1"}, {"max_iter": -3}):
+        entry = {"kind": "logistic_regression", "hyperparameters": hp}
+        config.write_text(json.dumps({"classifiers": [entry]}))
+        code = main(
+            ["eval", "plain", str(labeled_csv), "--config", str(config),
+             "-o", str(tmp_path / "r.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "droidlens: error:" in err and next(iter(hp)) in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_compare_summary(labeled_csv, tmp_path):
     out = tmp_path / "summary.md"
     config = tmp_path / "run.json"
@@ -338,6 +354,26 @@ def test_config_validation_direct(tmp_path):
     path.write_text(json.dumps({"classifiers": []}))
     with pytest.raises(ConfigError, match="non-empty"):
         load_config(path)
+
+
+def test_logging_handlers_replaced_per_run(tmp_path, capsys):
+    corpus = tmp_path / "dex"
+    corpus.mkdir()
+    (corpus / "a.dex").write_bytes(fixture_plain())
+    out = str(tmp_path / "f.csv")
+    logs = [tmp_path / "a.log", tmp_path / "b.log"]
+    for log in logs:
+        assert main(["--log-file", str(log), "extract", str(corpus), "-o", out]) == 0
+    # Each file holds only its own run's line, and without --verbose
+    # stderr gets no INFO lines.
+    for log in logs:
+        assert log.read_text().count("extracted a.dex") == 1
+    assert "INFO" not in capsys.readouterr().err
+    assert main(["--verbose", "extract", str(corpus), "-o", out]) == 0
+    assert "INFO droidlens.cli: extracted a.dex" in capsys.readouterr().err
+    assert all(log.read_text().count("extracted a.dex") == 1 for log in logs)
+    assert main(["extract", str(corpus), "-o", out]) == 0
+    assert "INFO" not in capsys.readouterr().err
 
 
 def test_multidex_constant_under_file_ordering(tmp_path):

@@ -166,10 +166,7 @@ def test_assignment_validation():
         Assignment(labels=(0, -2), k=1)
     with pytest.raises(ClusterError):
         Assignment(labels=(0,), k=0)
-    all_noise = Assignment(labels=(-1, -1), k=0)
-    assert all_noise.noise_fraction() == 1.0
-    mixed = Assignment(labels=(0, -1, 1, 1), k=2)
-    assert mixed.noise_fraction() == 0.25
+    assert Assignment(labels=(-1, -1), k=0).n == 2  # all noise is legal with k = 0
 
 
 # --- k-means ----------------------------------------------------------------
@@ -494,7 +491,7 @@ def test_gmm_k1_matches_moments():
 
 def test_gmm_repeated_points_hit_floor():
     X = np.tile([3.0, 7.0], (10, 1))
-    model, assign = gmm(X, 2, seed=5, reg_floor=1e-6)
+    model, assign = gmm(X, 2, seed=5)
     assert np.all(model.variances == 1e-6)
     assert np.isfinite(model.means).all()
     assert np.isfinite(model.log_likelihood)
@@ -524,8 +521,6 @@ def test_gmm_ll_monotone_fuzz(seed):
 def test_gmm_errors():
     with pytest.raises(ClusterError):
         gmm(FOUR_POINTS, 5, seed=0)
-    with pytest.raises(ClusterError):
-        gmm(FOUR_POINTS, 1, seed=0, reg_floor=0.0)
 
 
 # --- Validity indices ----------------------------------------------------------

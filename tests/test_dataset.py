@@ -9,7 +9,6 @@ from droidlens.dataset import (
     CSV_HEADER,
     Dataset,
     ScanVerdicts,
-    concat_datasets,
     consensus_label,
     read_dataset,
     synth_blobs,
@@ -57,16 +56,12 @@ def test_arrays_are_read_only():
         ds.labels[0] = 0
 
 
-def test_take_and_concat():
+def test_take():
     ds = make_ds([[0.0], [1.0], [2.0]], [0, 1, 0])
     sub = ds.take([2, 0])
     assert sub.ids == ("row2", "row0")
     assert sub.features[:, 0].tolist() == [2.0, 0.0]
-    back = concat_datasets([sub, ds.take([1])])
-    assert back.n == 3
-    assert back.ids == ("row2", "row0", "row1")
-    with pytest.raises(DatasetError):
-        concat_datasets([])
+    assert sub.labels.tolist() == [0, 0]
 
 
 # --- CSV round trip -------------------------------------------------------

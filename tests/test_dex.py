@@ -151,7 +151,7 @@ def test_histogram_merge_adds_counts():
 
 def test_parse_exposes_header_and_class_defs():
     data = dexfactory.fixture_multi()
-    dex = parse_dex(data, verify_checksum=True)
+    dex = parse_dex(data)
     assert dex.version == 38
     assert dex.header.header_size == 0x70
     assert dex.header.endian_tag == 0x12345678
@@ -208,12 +208,13 @@ def test_wrong_header_size():
         parse_dex(bytes(data))
 
 
-def test_checksum_verification_is_optional():
-    data = bytearray(dexfactory.fixture_plain())
+def test_stale_checksum_is_accepted():
+    original = dexfactory.fixture_payload()
+    data = bytearray(original)
     struct.pack_into("<I", data, 8, 0xDEADBEEF)
-    parse_dex(bytes(data))  # lenient by default
-    with pytest.raises(DexParseError, match="checksum"):
-        parse_dex(bytes(data), verify_checksum=True)
+    assert zlib.adler32(data[12:]) != 0xDEADBEEF
+    assert parse_dex(bytes(data)).header.checksum == 0xDEADBEEF
+    assert extract_histogram(bytes(data)) == extract_histogram(original)
 
 
 def test_class_defs_out_of_bounds():

@@ -12,6 +12,7 @@ method in 50-digit decimal arithmetic.
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,9 +27,7 @@ from droidlens.learn import (
     ClassifierSpec,
     fit,
     interpolate,
-    load_model,
     predict_batch,
-    save_model,
     smote_balance,
 )
 from evalfactory import noisy_blob_dataset
@@ -247,9 +246,9 @@ def test_smote_deterministic():
 
 
 def test_smote_caps_neighbors():
-    # Two minority rows: only one neighbor exists, k_neighbors=5 must cap.
+    # Two minority rows: only one neighbor exists, the 5 neighbors must cap.
     ds = make_ds([[0.0], [5.0], [1.0], [2.0], [3.0], [4.0]], [1, 1, 0, 0, 0, 0])
-    out = smote_balance(ds, k_neighbors=5, seed=0)
+    out = smote_balance(ds, seed=0)
     for v in out.features[6:, 0]:
         assert 0.0 <= v < 5.0
 
@@ -305,6 +304,42 @@ def test_spec_rejects_unknown_kind_and_keys():
     assert ClassifierSpec(kind="logistic_regression").resolved() == {
         "l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6,
     }
+
+
+@pytest.mark.parametrize(
+    "kind, hp, message",
+    [
+        ("logistic_regression", {"l2": "0.1"}, "l2 must be a number, got '0.1'"),
+        ("logistic_regression", {"l2": True}, "l2 must be a number"),
+        ("logistic_regression", {"l2": -1.0}, "l2 must be >= 0"),
+        ("logistic_regression", {"l2": float("nan")}, "l2 must be >= 0"),
+        ("logistic_regression", {"grad_tol": -1e-6}, "grad_tol must be >= 0"),
+        ("linear_svm", {"max_iter": -3}, "max_iter must be >= 0"),
+        ("linear_svm", {"max_iter": 10.0}, "max_iter must be an integer"),
+        ("linear_svm", {"max_iter": None}, "max_iter must be an integer"),
+        ("gaussian_nb", {"var_floor_ratio": 0.0}, "var_floor_ratio must be > 0"),
+        ("gaussian_nb", {"var_floor_ratio": "1e-9"}, "var_floor_ratio must be a number"),
+        ("decision_tree", {"max_depth": "3"}, "max_depth must be an integer or null"),
+        ("decision_tree", {"max_depth": -1}, "max_depth must be >= 0"),
+        ("decision_tree", {"min_samples_split": -2}, "min_samples_split must be >= 0"),
+        ("random_forest", {"n_trees": 2.5}, "n_trees must be an integer"),
+        ("random_forest", {"n_trees": False}, "n_trees must be an integer"),
+        ("random_forest", {"mtry": 1.5}, "mtry must be an integer or null"),
+    ],
+)
+def test_spec_rejects_bad_hyperparameter_values(kind, hp, message):
+    with pytest.raises(LearnError, match=re.escape(message)):
+        ClassifierSpec(kind=kind, hyperparameters=hp)
+
+
+def test_spec_accepts_numpy_numbers_and_null_defaults():
+    spec = ClassifierSpec(
+        kind="logistic_regression",
+        hyperparameters={"l2": 0, "max_iter": np.int64(5), "grad_tol": np.float64(0.0)},
+    )
+    assert spec.resolved()["max_iter"] == 5
+    ClassifierSpec(kind="random_forest", hyperparameters={"max_depth": None, "mtry": None})
+    ClassifierSpec(kind="decision_tree", hyperparameters={"max_depth": 0})
 
 
 # --- fitting behavior -------------------------------------------------------------
@@ -818,42 +853,3 @@ def test_fit_deterministic_per_seed():
         m2 = fit(ClassifierSpec(kind=kind, seed=77), ds)
         assert np.array_equal(predict_batch(m1, probe), predict_batch(m2, probe))
 
-
-# --- serialization ----------------------------------------------------------------
-
-
-def test_save_load_round_trip_predictions(tmp_path):
-    ds = two_blob_ds(8, per=12)
-    probe = np.random.default_rng(1).uniform(-2, 10, (40, 2))
-    for kind in KINDS:
-        hp = {"n_trees": 12} if kind == "random_forest" else {}
-        model = fit(ClassifierSpec(kind=kind, hyperparameters=hp, seed=4), ds)
-        path = tmp_path / f"{kind}.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.kind == kind
-        assert np.array_equal(predict_batch(loaded, probe), predict_batch(model, probe))
-
-
-def test_save_load_constant_model(tmp_path):
-    ds = make_ds([[0.0], [1.0]], [1, 1])
-    model = fit(ClassifierSpec(kind="logistic_regression"), ds)
-    path = tmp_path / "const.json"
-    save_model(model, path)
-    assert load_model(path).constant == 1
-
-
-def test_load_rejects_foreign_files(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{]")
-    with pytest.raises(LearnError, match="not a model file"):
-        load_model(bad)
-    bad.write_text('{"format": "other"}')
-    with pytest.raises(LearnError, match="not a droidlens-model"):
-        load_model(bad)
-    bad.write_text('{"format": "droidlens-model", "version": 99, "kind": "decision_tree"}')
-    with pytest.raises(LearnError, match="version"):
-        load_model(bad)
-    bad.write_text('{"format": "droidlens-model", "version": 1, "kind": "nope"}')
-    with pytest.raises(LearnError, match="kind"):
-        load_model(bad)
