@@ -5,6 +5,16 @@ All learners are binary (0 benign, 1 malware) and deterministic given
 spec seed.  Ties in votes, leaf majorities, and decision scores break
 toward label 0; there is no security meaning to that, it is just a
 fixed rule.
+
+The decision tree and the forest share one CART grower.  A fit ranks
+each feature column once; a node's split search sorts its rows'
+integer ranks, never float values.  All trees grow depth-first in
+lockstep: each step pops every tree's next splittable node and scores
+them in one vectorised search, in blocks of ``_SPLIT_BUDGET``
+elements.  A forest node draws its ``mtry`` features from its own
+tree's stream in the pre-order a one-tree-at-a-time recursion would,
+so the trees are the same as growing them one by one.  Trees stay
+nested dicts; prediction sends all rows down them together.
 """
 
 from __future__ import annotations
@@ -355,110 +365,241 @@ def _predict_gaussian_nb(params: dict, X: np.ndarray) -> np.ndarray:
     return (post[:, 1] > post[:, 0]).astype(np.int64)  # tie goes to benign
 
 
-# --- CART decision tree ------------------------------------------------------------
+# --- CART trees: one lockstep grower for the decision tree and the forest ----------
+
+_SPLIT_BUDGET = 1 << 13  # elements per sorted block of the split search
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
+def _rank_keys(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every column once, in blocks of about ``_SPLIT_BUDGET`` elements.
 
-
-def _leaf(y: np.ndarray) -> dict:
-    ones = int((y == 1).sum())
-    zeros = y.size - ones
-    return {"leaf": 1 if ones > zeros else 0}  # tie goes to 0
-
-
-def _best_split(X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
-    """(decrease, feature, threshold) of the best candidate, or None.
-
-    Every threshold is searched exactly: the midpoint between each pair
-    of adjacent distinct values, with no binning.  All candidate
-    features are sorted and scored at once, one row per feature, and
-    only boundaries between distinct values are scored.  The boundaries
-    are listed feature by feature (``feature_ids`` ascending), then by
-    position, so a first-occurrence argmax breaks ties to the lowest
-    feature index, then the lowest threshold.  None when every
-    candidate column is constant.
+    ``keys[f, i]`` is 2·rank + y[i], rank being row i's dense rank in
+    column f, and ``keys[f, n]`` = 2n is a pad above every real key.
+    ``values[f, r]`` is column f's r-th smallest distinct value.
     """
-    n = y.size
-    total1 = int((y == 1).sum())
-    parent = _gini(np.array([n - total1, total1]))
-    sub = X.T[feature_ids]
-    order = np.argsort(sub, axis=1, kind="stable")
-    sv = np.take_along_axis(sub, order, axis=1)
-    rows, boundaries = np.nonzero(sv[:, :-1] < sv[:, 1:])
-    if boundaries.size == 0:
-        return None
-    cum1 = np.cumsum(y[order], axis=1)
-    nl = boundaries + 1.0
-    nr = n - nl
-    l1 = cum1[rows, boundaries].astype(np.float64)
+    n, d = X.shape
+    keys = np.empty((d, n + 1), dtype=np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64)
+    keys[:, n] = 2 * n
+    values = np.empty((d, n))
+    block = max(1, _SPLIT_BUDGET // n)
+    for c0 in range(0, d, block):
+        cols = X.T[c0 : c0 + block]
+        order = np.argsort(cols, axis=1)
+        sv = np.take_along_axis(cols, order, axis=1)
+        rank = np.zeros(sv.shape, dtype=np.int64)
+        np.cumsum(sv[:, 1:] > sv[:, :-1], axis=1, out=rank[:, 1:])
+        np.put_along_axis(keys[c0 : c0 + block, :n], order, 2 * rank + y[order], axis=1)
+        np.put_along_axis(values[c0 : c0 + block], rank, sv, axis=1)
+    return keys, values
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where an array starts a run of equal values."""
+    opens = np.empty(a.size, dtype=bool)
+    opens[:1] = True
+    np.not_equal(a[1:], a[:-1], out=opens[1:])
+    return opens
+
+
+def _block_best(keys, rows, offsets, sizes, ones, parent, nodes, fs, width):
+    """(node, decrease, feature, lower rank, upper rank) of each node's
+    first best split among one block of segments, segment j being node
+    ``nodes[j]``'s rows on feature ``fs[j]``.  Each segment is padded
+    past ``width`` with pad keys, so the sorted block is scanned flat.
+    A function of its own so that a block's temporaries are freed
+    before the next block is built."""
+    stride = keys.shape[1]
+    span = width + 1
+    at = np.arange(span)
+    at = np.where(at < sizes[nodes][:, None], offsets[nodes][:, None] + at, rows.size - 1)
+    block = keys.ravel().take(fs[:, None] * stride + rows.take(at))
+    block.sort(axis=1)
+    block = block.ravel()
+    rank = block >> 1
+    cut = np.flatnonzero((rank[:-1] < rank[1:]) & (rank[1:] < stride - 1))
+    seg = cut // span
+    ones_upto = np.zeros(block.size + 1, dtype=np.int64)
+    np.cumsum(block & 1, out=ones_upto[1:])
+    l1 = (ones_upto[cut + 1] - ones_upto[seg * span]).astype(np.float64)
+    node = nodes[seg]
+    m = sizes[node]
+    nl = (cut - seg * span) + 1.0
+    nr = m - nl
     l0 = nl - l1
-    r1 = total1 - l1
+    r1 = ones[node] - l1
     r0 = nr - r1
     gini_l = 1.0 - ((l0 / nl) ** 2 + (l1 / nl) ** 2)
     gini_r = 1.0 - ((r0 / nr) ** 2 + (r1 / nr) ** 2)
-    decrease = parent - (nl / n) * gini_l - (nr / n) * gini_r
-    best = int(np.argmax(decrease))
-    row, pos = rows[best], boundaries[best]
-    threshold = (sv[row, pos] + sv[row, pos + 1]) / 2.0
-    return float(decrease[best]), int(feature_ids[row]), float(threshold)
+    decrease = parent[node] - (nl / m) * gini_l - (nr / m) * gini_r
+    opens = _run_starts(node)
+    top = np.maximum.reduceat(decrease, np.flatnonzero(opens))
+    group = np.cumsum(opens) - 1
+    hits = np.flatnonzero(decrease == top[group])
+    first = hits[_run_starts(group[hits])]
+    cut = cut[first]
+    return node[first], top, fs[seg[first]], rank[cut], rank[cut + 1]
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    depth: int,
-    max_depth,
-    min_samples_split: int,
-    mtry,
-    rng,
-) -> dict:
-    ones = int((y == 1).sum())
-    if ones == 0 or ones == y.size:
-        return {"leaf": int(y[0])}
-    if y.size < min_samples_split or (max_depth is not None and depth >= max_depth):
-        return _leaf(y)
+def _split_search(keys, values, rows, sizes, ones, feats):
+    """(feature, threshold, found) of each node's best split.
+
+    Node i holds ``sizes[i]`` of the concatenated ``rows``, ``ones[i]``
+    of them labelled 1, and searches the ascending features
+    ``feats[i]``.  Every threshold is searched exactly: the midpoint of
+    each pair of adjacent distinct values.  A (node, feature) segment
+    sorts its rows' keys, so boundaries and left label counts do not
+    depend on the order within ties.  Segments run node-major, largest
+    node first, in blocks of at most ``_SPLIT_BUDGET`` padded elements
+    (or one segment).  A node takes a later block's best only when it
+    is strictly greater, so ties go to the lowest feature, then the
+    lowest threshold, wherever the blocks end.  ``found`` is False
+    where every candidate column is constant.
+    """
+    n = keys.shape[1] - 1
+    B, k = feats.shape
+    rows = np.append(rows, n)  # the pad key's row
+    offsets = np.cumsum(sizes) - sizes
+    size_f, ones_f = sizes.astype(np.float64), ones.astype(np.float64)
+    p0 = (size_f - ones_f) / size_f
+    p1 = ones_f / size_f
+    parent = 1.0 - (p0 * p0 + p1 * p1)
+    seg_node = np.repeat(np.argsort(-sizes, kind="stable"), k)
+    seg_feat = feats[seg_node, np.tile(np.arange(k), B)]
+    best = np.full(B, -np.inf)
+    feature, lo, hi = (np.zeros(B, dtype=np.intp) for _ in range(3))
+    a = 0
+    while a < seg_node.size:
+        width = int(sizes[seg_node[a]])
+        b = min(seg_node.size, a + max(1, _SPLIT_BUDGET // width))
+        node, top, f, lo_rank, hi_rank = _block_best(
+            keys, rows, offsets, size_f, ones_f, parent, seg_node[a:b], seg_feat[a:b], width
+        )
+        a = b
+        gain = top > best[node]
+        won = node[gain]
+        best[won], feature[won], lo[won], hi[won] = top[gain], f[gain], lo_rank[gain], hi_rank[gain]
+    found = best > -np.inf
+    at = feature[found] * n
+    below, above = values.ravel()[at + lo[found]], values.ravel()[at + hi[found]]
+    with np.errstate(over="ignore"):
+        middle = (below + above) / 2.0
+    # Between adjacent floats the midpoint can round up to the upper
+    # value, or overflow; the lower value then still splits the node.
+    threshold = np.zeros(B)
+    threshold[found] = np.where(middle < above, middle, below)
+    return feature, threshold, found
+
+
+def _partition(X, rows, sizes, feature, threshold):
+    """Split each group of the concatenated ``rows`` (group i being
+    ``sizes[i]`` long) at its own (feature, threshold): the rows
+    reordered so each group's rows <= threshold come first, in order,
+    and each group's count of those."""
+    go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    parted = rows[np.argsort(2 * owner + ~go_left, kind="stable")]
+    return parted, np.bincount(owner[go_left], minlength=sizes.size)
+
+
+def _grow_trees(X, y, samples: list, max_depth, min_samples_split: int, mtry=None, rngs=None):
+    """One CART tree per row-index array in ``samples``, grown together.
+
+    A node is a leaf of its majority label (ties to 0) when it is pure,
+    has fewer than ``min_samples_split`` rows, sits at ``max_depth`` or
+    has no varying column; otherwise rows <= the best threshold go
+    left.  With ``mtry`` below the feature count a node searches
+    ``mtry`` features drawn from its tree's ``rngs`` entry, and all
+    features when the drawn ones are constant there.  Each tree keeps a
+    stack of splittable nodes, left child on top; every step pops one
+    node per tree, so each tree draws in a recursive grower's
+    pre-order, and searches the step's nodes together.
+    """
     d = X.shape[1]
-    if mtry is None or mtry >= d:
-        feature_ids = np.arange(d)
-    else:
-        feature_ids = np.sort(rng.choice(d, size=mtry, replace=False))
-    best = _best_split(X, y, feature_ids)
-    if best is None and mtry is not None and mtry < d:
-        # The sampled features were constant here; fall back to all so a
-        # separable node is never forced into an impure leaf.
-        best = _best_split(X, y, np.arange(d))
-    if best is None:
-        return _leaf(y)
-    _, feature, threshold = best
-    mask = X[:, feature] <= threshold
-    node = {
-        "feature": feature,
-        "threshold": threshold,
-        "left": _grow_tree(X[mask], y[mask], depth + 1, max_depth, min_samples_split, mtry, rng),
-        "right": _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, min_samples_split, mtry, rng),
-    }
-    return node
+    keys, values = _rank_keys(X, y)
+    draw = mtry is not None and mtry < d
+    stacks = [[] for _ in samples]
+
+    def attach(tree, rows, ones, depth):
+        size = rows.size
+        if ones in (0, size) or size < min_samples_split or depth == max_depth:
+            return {"leaf": 1 if 2 * ones > size else 0}
+        node = {}
+        stacks[tree].append((tree, rows, ones, depth, node))
+        return node
+
+    trees = [attach(t, rows, int(y[rows].sum()), 0) for t, rows in enumerate(samples)]
+    while batch := [stack.pop() for stack in stacks if stack]:
+        rows = np.concatenate([entry[1] for entry in batch])
+        sizes = np.array([entry[1].size for entry in batch])
+        ones = np.array([entry[2] for entry in batch])
+        if draw:
+            picks = [rngs[entry[0]].choice(d, size=mtry, replace=False) for entry in batch]
+            feats = np.sort(picks, axis=1)
+        else:
+            feats = np.broadcast_to(np.arange(d), (len(batch), d))
+        feature, threshold, found = _split_search(keys, values, rows, sizes, ones, feats)
+        if draw and not found.all():
+            miss = np.flatnonzero(~found)
+            feature[miss], threshold[miss], found[miss] = _split_search(
+                keys, values, np.concatenate([batch[i][1] for i in miss]), sizes[miss],
+                ones[miss], np.broadcast_to(np.arange(d), (miss.size, d)),
+            )
+        if found.any():
+            parted, n_left = _partition(X, rows, sizes, feature, threshold)
+        else:  # every node is a leaf, and X may have no column to index
+            parted, n_left = rows, sizes
+        starts = np.cumsum(sizes) - sizes
+        ones_upto = np.cumsum(np.r_[0, y[parted]])
+        ones_left = ones_upto[starts + n_left] - ones_upto[starts]
+        for (tree, _, node_ones, depth, node), size, f, thr, ok, start, nl, l1 in zip(
+            batch, sizes.tolist(), feature.tolist(), threshold.tolist(), found.tolist(),
+            starts.tolist(), n_left.tolist(), ones_left.tolist(),
+        ):
+            if not ok:
+                node["leaf"] = 1 if 2 * node_ones > size else 0
+                continue
+            cut = start + nl
+            right = attach(tree, parted[cut : start + size], node_ones - l1, depth + 1)
+            left = attach(tree, parted[start:cut], l1, depth + 1)
+            node.update(feature=f, threshold=thr, left=left, right=right)
+    return trees
 
 
-def _tree_predict_one(tree: dict, x: np.ndarray) -> int:
-    node = tree
-    while "leaf" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["leaf"]
-
-
-def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
-    return np.array([_tree_predict_one(tree, row) for row in X], dtype=np.int64)
+def _tree_votes(trees: list, X: np.ndarray) -> np.ndarray:
+    """How many of ``trees`` label each row of X malware.  All rows
+    descend all trees together, a level at a time: the internal nodes
+    reached partition their row indices at once, ties going left."""
+    n = X.shape[0]
+    malware = []
+    nodes, parts = list(trees), [np.arange(n)] * len(trees)
+    while nodes:
+        inner, inner_parts = [], []
+        for node, idx in zip(nodes, parts):
+            leaf = node.get("leaf")
+            if leaf is None:
+                inner.append(node)
+                inner_parts.append(idx)
+            elif leaf:
+                malware.append(idx)
+        if not inner:
+            break
+        sizes = np.array([idx.size for idx in inner_parts])
+        feature = np.array([node["feature"] for node in inner])
+        threshold = np.array([node["threshold"] for node in inner])
+        parted, n_left = _partition(X, np.concatenate(inner_parts), sizes, feature, threshold)
+        nodes, parts = [], []
+        end = 0
+        for node, size, nl in zip(inner, sizes.tolist(), n_left.tolist()):
+            start, cut, end = end, end + nl, end + size
+            for child, part in ((node["left"], parted[start:cut]), (node["right"], parted[cut:end])):
+                if part.size:
+                    nodes.append(child)
+                    parts.append(part)
+    return np.bincount(np.concatenate([np.empty(0, dtype=np.intp), *malware]), minlength=n)
 
 
 def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
-    tree = _grow_tree(X, y, 0, hp["max_depth"], hp["min_samples_split"], None, None)
+    (tree,) = _grow_trees(X, y, [np.arange(X.shape[0])], hp["max_depth"], hp["min_samples_split"])
     return {"tree": tree}
 
 
@@ -475,20 +616,14 @@ def _fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dic
     n_trees = int(hp["n_trees"])
     if n_trees < 1:
         raise LearnError(f"n_trees must be at least 1, got {n_trees}")
-    trees = []
-    for t in range(n_trees):
-        rng = derive_rng(seed, "tree", t)
-        rows = rng.integers(0, n, size=n)
-        trees.append(
-            _grow_tree(X[rows], y[rows], 0, hp["max_depth"], hp["min_samples_split"], mtry, rng)
-        )
+    rngs = [derive_rng(seed, "tree", t) for t in range(n_trees)]
+    samples = [rng.integers(0, n, size=n) for rng in rngs]
+    trees = _grow_trees(X, y, samples, hp["max_depth"], hp["min_samples_split"], mtry, rngs)
     return {"trees": trees, "mtry": mtry}
 
 
 def _predict_random_forest(params: dict, X: np.ndarray) -> np.ndarray:
-    votes = np.zeros(X.shape[0], dtype=np.int64)
-    for tree in params["trees"]:
-        votes += _tree_predict(tree, X)
+    votes = _tree_votes(params["trees"], X)
     return (votes * 2 > len(params["trees"])).astype(np.int64)  # tie goes to 0
 
 
@@ -531,6 +666,6 @@ def predict_batch(model: ClassifierModel, X) -> np.ndarray:
     if model.kind == "gaussian_nb":
         return _predict_gaussian_nb(model.params, X)
     if model.kind == "decision_tree":
-        return _tree_predict(model.params["tree"], X)
+        return _tree_votes([model.params["tree"]], X)
     return _predict_random_forest(model.params, X)
 

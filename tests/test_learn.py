@@ -2,9 +2,10 @@
 
 Oracles: a segment-membership residual check for SMOTE synthetics, a
 hand-written Gaussian posterior for naive Bayes, an exhaustive split
-check for the XOR tree, and two earlier implementations that the
-current ones must match exactly: a one-feature-at-a-time CART split
-search and SMOTE's m×m×d neighbour table.  The linear models are held
+check for the XOR tree, and earlier implementations that the current
+ones must match exactly: the recursive CART grower with its
+one-feature-at-a-time split search, per-row tree descent, and SMOTE's
+m×m×d neighbour table.  The linear models are held
 to their optimum instead: the gradient at the returned point, the
 halving-step descent they ran before, and the optimum found by Newton's
 method in 50-digit decimal arithmetic.
@@ -13,6 +14,8 @@ method in 50-digit decimal arithmetic.
 import decimal
 import math
 import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from droidlens.learn import (
     predict_batch,
     smote_balance,
 )
+from droidlens.rng import derive_rng
 from evalfactory import noisy_blob_dataset
 
 
@@ -72,12 +76,20 @@ def nb_posterior_oracle(x, priors, means, variances):
     return post
 
 
+def _gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - (p * p).sum())
+
+
 def _reference_best_split(X, y, feature_ids):
     """CART split search one feature at a time: ascending features,
     strict improvement, first-occurrence argmax within a feature."""
     n = y.size
     total1 = int((y == 1).sum())
-    parent = learn._gini(np.array([n - total1, total1]))
+    parent = _gini(np.array([n - total1, total1]))
     best = None
     for f in feature_ids:
         values = X[:, f]
@@ -102,6 +114,54 @@ def _reference_best_split(X, y, feature_ids):
             threshold = (sv[boundaries[pos]] + sv[boundaries[pos] + 1]) / 2.0
             best = (float(decrease[pos]), int(f), float(threshold))
     return best
+
+
+def _reference_grow_tree(X, y, depth, max_depth, min_samples_split, mtry, rng, taken=None):
+    """The recursive grower the lockstep one replaced: each node copies
+    its rows of X, draws its features in pre-order, and searches them
+    with ``_reference_best_split``.  ``taken["fallback"]`` counts the
+    nodes whose drawn features were all constant."""
+    ones = int((y == 1).sum())
+    if ones == 0 or ones == y.size:
+        return {"leaf": int(y[0])}
+    if y.size < min_samples_split or (max_depth is not None and depth >= max_depth):
+        return {"leaf": 1 if ones > y.size - ones else 0}
+    d = X.shape[1]
+    if mtry is None or mtry >= d:
+        feature_ids = np.arange(d)
+    else:
+        feature_ids = np.sort(rng.choice(d, size=mtry, replace=False))
+    best = _reference_best_split(X, y, feature_ids)
+    if best is None and mtry is not None and mtry < d:
+        if taken is not None:
+            taken["fallback"] += 1
+        best = _reference_best_split(X, y, np.arange(d))
+    if best is None:
+        return {"leaf": 1 if ones > y.size - ones else 0}
+    _, feature, threshold = best
+    mask = X[:, feature] <= threshold
+    grow = lambda m: _reference_grow_tree(
+        X[m], y[m], depth + 1, max_depth, min_samples_split, mtry, rng, taken
+    )
+    return {"feature": feature, "threshold": threshold, "left": grow(mask), "right": grow(~mask)}
+
+
+def _reference_forest(X, y, n_trees, seed, mtry, taken=None):
+    """The forest's trees as the recursive grower built them, one after
+    another, each from its own bootstrap stream."""
+    trees = []
+    for t in range(n_trees):
+        rng = derive_rng(seed, "tree", t)
+        rows = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(_reference_grow_tree(X[rows], y[rows], 0, None, 2, mtry, rng, taken))
+    return trees
+
+
+def _reference_tree_predict_one(tree, x):
+    node = tree
+    while "leaf" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["leaf"]
 
 
 def _reference_neighbor_table(M, k):
@@ -713,6 +773,13 @@ def test_constant_model_on_single_class():
             assert predict_batch(model, np.array([123.0])[None, :])[0] == label
 
 
+def test_dt_without_features_is_one_majority_leaf():
+    ds = Dataset(ids=("a", "b", "c"), features=np.empty((3, 0)), labels=np.array([0, 1, 1]))
+    model = fit(ClassifierSpec(kind="decision_tree"), ds)
+    assert model.params["tree"] == {"leaf": 1}
+    assert predict_batch(model, np.empty((2, 0))).tolist() == [1, 1]
+
+
 def test_dt_pure_leaf_recalls_training_point():
     ds = make_ds([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0], [4.0, 4.5]], [0, 1, 0, 1])
     model = fit(ClassifierSpec(kind="decision_tree", seed=0), ds)
@@ -742,7 +809,7 @@ def test_vote_tie_breaks_to_benign():
 @st.composite
 def split_problems(draw):
     """Small integer matrices with 1-3 levels per column, so tied values
-    and constant columns are common, plus a sorted feature subset."""
+    and constant columns are common."""
     n = draw(st.integers(min_value=2, max_value=24))
     d = draw(st.integers(min_value=1, max_value=6))
     columns = []
@@ -750,19 +817,46 @@ def split_problems(draw):
         levels = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
         columns.append(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    feature_ids = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    return np.array(columns, dtype=np.float64).T, np.array(y, dtype=np.int64)
+
+
+@st.composite
+def grower_problems(draw):
+    """A split problem, 1-4 bootstrap samples of its rows (duplicates
+    common), the stopping rules, mtry, and an element budget small
+    enough that a step's segments, and one node's, span blocks."""
+    X, y = draw(split_problems())
+    n, d = X.shape
+    samples = draw(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n), min_size=1, max_size=4)
+    )
     return (
-        np.array(columns, dtype=np.float64).T,
-        np.array(y, dtype=np.int64),
-        np.array(feature_ids, dtype=np.int64),
+        X,
+        y,
+        [np.array(rows) for rows in samples],
+        draw(st.sampled_from([None, 0, 1, 3])),
+        draw(st.sampled_from([0, 2, 5])),
+        draw(st.sampled_from([1, d])),
+        draw(st.integers(min_value=1, max_value=64)),
+        draw(st.integers(min_value=0, max_value=2**16)),
     )
 
 
-@given(problem=split_problems())
+@given(problem=grower_problems())
 @settings(max_examples=300, deadline=None)
-def test_best_split_matches_reference(problem):
-    X, y, feature_ids = problem
-    assert learn._best_split(X, y, feature_ids) == _reference_best_split(X, y, feature_ids)
+def test_grower_matches_reference(problem):
+    X, y, samples, max_depth, min_samples_split, mtry, budget, seed = problem
+    rngs = [derive_rng(seed, "tree", t) for t in range(len(samples))]
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(learn, "_SPLIT_BUDGET", budget)
+        grown = learn._grow_trees(X, y, samples, max_depth, min_samples_split, mtry, rngs)
+    expected = [
+        _reference_grow_tree(
+            X[rows], y[rows], 0, max_depth, min_samples_split, mtry, derive_rng(seed, "tree", t)
+        )
+        for t, rows in enumerate(samples)
+    ]
+    assert grown == expected
 
 
 def test_best_split_none_when_every_column_constant():
@@ -770,23 +864,104 @@ def test_best_split_none_when_every_column_constant():
     y = np.array([0, 1, 1, 0, 1])
     feature_ids = np.arange(3)
     assert _reference_best_split(X, y, feature_ids) is None
-    assert learn._best_split(X, y, feature_ids) is None
+    _, _, found = learn._split_search(
+        *learn._rank_keys(X, y), np.arange(5), np.array([5]), np.array([3]), feature_ids[None, :]
+    )
+    assert not found.any()
+    assert learn._grow_trees(X, y, [np.arange(5)], None, 2) == [{"leaf": 1}]
 
 
-def test_trees_identical_to_reference_split(monkeypatch):
+def test_trees_identical_to_reference_split():
     # Sparse counts: many columns are constant within a node, so some
     # forest nodes take the mtry fallback to all features (19 here).
     rng = np.random.default_rng(12)
     rates = rng.gamma(0.1, 1.0, size=(2, 36))
     y = rng.integers(0, 2, 60)
-    ds = make_ds(rng.poisson(rates[y]), y)
-    for kind, hp in (("decision_tree", {}), ("random_forest", {"n_trees": 10})):
-        spec = ClassifierSpec(kind=kind, hyperparameters=hp, seed=5)
-        shipped = fit(spec, ds)
-        with monkeypatch.context() as patched:
-            patched.setattr(learn, "_best_split", _reference_best_split)
-            reference = fit(spec, ds)
-        assert shipped.params == reference.params
+    X = rng.poisson(rates[y]).astype(np.float64)
+    ds = make_ds(X, y)
+    dt = fit(ClassifierSpec(kind="decision_tree", seed=5), ds)
+    assert dt.params == {"tree": _reference_grow_tree(X, y, 0, None, 2, None, None), "dim": 36}
+    taken = Counter()
+    rf = fit(ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": 10}, seed=5), ds)
+    reference = _reference_forest(X, y, 10, 5, 6, taken)
+    assert rf.params == {"trees": reference, "mtry": 6, "dim": 36}
+    assert taken["fallback"] == 19
+    votes = [sum(_reference_tree_predict_one(tree, row) for tree in reference) for row in X]
+    assert predict_batch(rf, X).tolist() == [int(2 * v > 10) for v in votes]
+
+
+_CUTS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+def _random_trees(d):
+    def split(children):
+        return st.builds(
+            lambda f, t, left, right: {"feature": f, "threshold": t, "left": left, "right": right},
+            st.integers(0, d - 1),
+            st.sampled_from(_CUTS),
+            children,
+            children,
+        )
+
+    return st.recursive(st.builds(lambda v: {"leaf": v}, st.integers(0, 1)), split, max_leaves=16)
+
+
+@given(
+    trees=st.lists(_random_trees(3), min_size=1, max_size=5),
+    X=st.lists(st.lists(st.sampled_from(_CUTS), min_size=3, max_size=3), max_size=12),
+)
+@example(
+    trees=[{"feature": 1, "threshold": 0.5, "left": {"leaf": 1}, "right": {"leaf": 0}}],
+    X=[[9.0, 0.5, 0.0], [9.0, float(np.nextafter(0.5, 1.0)), 0.0], [9.0, -1.0, 0.0]],
+)
+@settings(max_examples=300, deadline=None)
+def test_tree_votes_match_per_row_reference(trees, X):
+    # Every feature value is also a threshold, so rows often sit exactly
+    # on a split; they go left.
+    X = np.array(X, dtype=np.float64).reshape(-1, 3)
+    expected = [sum(_reference_tree_predict_one(tree, row) for tree in trees) for row in X]
+    assert learn._tree_votes(trees, X).tolist() == expected
+    model = ClassifierModel(kind="decision_tree", params={"tree": trees[0], "dim": 3})
+    assert predict_batch(model, X).tolist() == [
+        _reference_tree_predict_one(trees[0], row) for row in X
+    ]
+
+
+_ONE_UP = np.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        (_ONE_UP, np.nextafter(_ONE_UP, 2.0)),  # the midpoint rounds up to high
+        (1e308, 1.5e308),  # the midpoint overflows
+    ],
+)
+def test_split_between_adjacent_or_huge_values_separates(low, high):
+    ds = make_ds([[low], [high], [low], [high]], [0, 1, 0, 1])
+    for kind in ("decision_tree", "random_forest"):
+        model = fit(ClassifierSpec(kind=kind, seed=0), ds)
+        assert train_accuracy(model, ds) == 1.0
+    tree = fit(ClassifierSpec(kind="decision_tree"), ds).params["tree"]
+    assert tree == {"feature": 0, "threshold": low, "left": {"leaf": 0}, "right": {"leaf": 1}}
+
+
+def test_tree_fit_memory_stays_linear():
+    # The split search sorts blocks of at most _SPLIT_BUDGET elements,
+    # so beyond the rank keys and distinct-value table (1.5 times X's
+    # bytes) a fit allocates little: the peak is about 1.6 times X's
+    # bytes.  Searching a whole step in one block peaks at 6.5 times.
+    rng = np.random.default_rng(3)
+    X = rng.poisson(rng.gamma(0.5, 4.0, size=256), size=(2000, 256)).astype(np.float64)
+    ds = make_ds(X, rng.integers(0, 2, 2000))
+    tracemalloc.start()
+    try:
+        model = fit(ClassifierSpec(kind="decision_tree"), ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "feature" in model.params["tree"]
+    assert peak < 2.5 * X.nbytes
 
 
 @pytest.mark.parametrize("n_trees", [0, -3])
