@@ -91,15 +91,14 @@ class Assignment:
     k: int
 
     def __post_init__(self) -> None:
-        labels = tuple(int(v) for v in self.labels)
-        object.__setattr__(self, "labels", labels)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        object.__setattr__(self, "labels", tuple(labels.tolist()))
         if self.k < 0:
             raise ClusterError(f"k must be non-negative, got {self.k}")
-        for i, lab in enumerate(labels):
-            if lab != -1 and not 0 <= lab < self.k:
-                raise ClusterError(f"row {i}: label {lab} outside [0, {self.k})")
-        if self.k == 0 and any(lab != -1 for lab in labels):
-            raise ClusterError("k = 0 requires every row to be noise")
+        bad = np.flatnonzero((labels != -1) & ((labels < 0) | (labels >= self.k)))
+        if bad.size:
+            i = int(bad[0])
+            raise ClusterError(f"row {i}: label {labels[i]} outside [0, {self.k})")
 
     @property
     def n(self) -> int:
@@ -233,7 +232,7 @@ def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, Assignment]:
     labels, _, sse = assign(centroids)
     check_monotone(sse)
     model = KMeansModel(centroids=centroids, sse=sse, iterations=iterations)
-    return model, Assignment(labels=tuple(int(v) for v in labels), k=k)
+    return model, Assignment(labels=labels, k=k)
 
 
 def sse_curve(X, k_range, seed: int) -> list[tuple[int, float]]:
@@ -310,7 +309,7 @@ def agglomerative(X, k: int) -> Assignment:
             ).sum(axis=1)
             D[np.minimum(others, i), np.maximum(others, i)] = merged
 
-    return Assignment(labels=tuple(np.unique(owner, return_inverse=True)[1]), k=k)
+    return Assignment(labels=np.unique(owner, return_inverse=True)[1], k=k)
 
 
 # --- BIRCH -------------------------------------------------------------------
@@ -452,23 +451,16 @@ def birch(X, k: int, threshold: float = 0.05, branching: int = 50) -> Assignment
         )
 
     centroids = np.array([e.centroid() for e in entries])
-    grouping = agglomerative(centroids, k)
+    grouping = np.asarray(agglomerative(centroids, k).labels)
     final = np.zeros((k, X.shape[1]))
-    weights = np.zeros(k)
-    for entry, cid in zip(entries, grouping.labels):
-        final[cid] += entry.ls
-        weights[cid] += entry.n
+    np.add.at(final, grouping, np.array([e.ls for e in entries]))
+    weights = np.bincount(grouping, weights=[e.n for e in entries], minlength=k)
     final /= weights[:, None]
 
     raw = np.argmin(_sq_dists(X, final), axis=1)
-    remap: dict[int, int] = {}
-    labels = []
-    for v in raw:
-        v = int(v)
-        if v not in remap:
-            remap[v] = len(remap)
-        labels.append(remap[v])
-    return Assignment(labels=tuple(labels), k=len(remap))
+    # Number the clusters by their first row.
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    return Assignment(labels=np.argsort(np.argsort(first))[inverse], k=first.size)
 
 
 # --- DBSCAN ------------------------------------------------------------------
@@ -483,6 +475,12 @@ def dbscan(X, eps: float, min_pts: int = 5) -> Assignment:
     join the cluster of their nearest core neighbor (ties to the lower
     row index), which makes the outcome independent of row order.
     Unreachable points are noise (-1).
+
+    Each component is found by a breadth-first search from its lowest
+    unreached core, one numpy step per level over the core×core
+    neighbour mask: O(n^2) numpy work in all, and one Python step per
+    level, so a chain of cores n long takes n steps.  Memory is the
+    n×n distance matrix plus the core×core mask.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -497,29 +495,27 @@ def dbscan(X, eps: float, min_pts: int = 5) -> Assignment:
     core_idx = np.flatnonzero(core)
 
     labels = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for start in core_idx:
-        if labels[start] != -1:
+    linked = within[np.ix_(core_idx, core_idx)]
+    unreached = np.ones(core_idx.size, dtype=bool)
+    k = 0
+    for start in range(core_idx.size):
+        if not unreached[start]:
             continue
-        stack = [int(start)]
-        labels[start] = next_id
-        while stack:
-            p = stack.pop()
-            for q in np.flatnonzero(within[p] & core):
-                if labels[q] == -1:
-                    labels[q] = next_id
-                    stack.append(int(q))
-        next_id += 1
+        frontier = np.array([start])
+        while frontier.size:
+            unreached[frontier] = False
+            labels[core_idx[frontier]] = k
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unreached)
+        k += 1
 
-    if core_idx.size:
+    if k:
         border = np.flatnonzero(~core & within[:, core_idx].any(axis=1))
-        for p in border:
-            cands = dist[p, core_idx]
-            reach = cands <= eps
-            best = core_idx[reach][int(np.argmin(cands[reach]))]
-            labels[p] = labels[best]
+        cols = np.ix_(border, core_idx)
+        # argmin takes the first minimum: ties go to the lowest core row.
+        nearest = np.where(within[cols], dist[cols], np.inf).argmin(axis=1)
+        labels[border] = labels[core_idx[nearest]]
 
-    return Assignment(labels=tuple(int(v) for v in labels), k=next_id)
+    return Assignment(labels=labels, k=k)
 
 
 # --- Gaussian mixture ---------------------------------------------------------
@@ -612,8 +608,7 @@ def gmm(X, k: int, seed: int) -> tuple[GmmModel, Assignment]:
     model = GmmModel(
         weights=weights, means=means, variances=variances, log_likelihood=prev_ll
     )
-    labels = np.argmax(resp, axis=1)
-    return model, Assignment(labels=tuple(int(v) for v in labels), k=k)
+    return model, Assignment(labels=np.argmax(resp, axis=1), k=k)
 
 
 # --- Validity indices ----------------------------------------------------------
@@ -632,10 +627,12 @@ def _validated_partition(X: np.ndarray, assignment: Assignment, allow_noise: boo
 
 def calinski_harabasz(X, assignment: Assignment) -> float:
     """Between/within dispersion ratio; +inf when W = 0 (a sentinel,
-    reported, never a crash)."""
+    reported, never a crash).  k counts the non-empty clusters, so an
+    unused cluster id changes neither k - 1 nor n - k."""
     X = _as_matrix(X)
     labels = _validated_partition(X, assignment, allow_noise=False)
-    k = assignment.k
+    present = np.unique(labels)
+    k = present.size
     n = X.shape[0]
     if k < 2:
         raise ClusterError(f"Calinski-Harabasz needs k >= 2, got k={k}")
@@ -644,10 +641,8 @@ def calinski_harabasz(X, assignment: Assignment) -> float:
     overall = X.mean(axis=0)
     between = 0.0
     within = 0.0
-    for cid in range(k):
+    for cid in present:
         rows = X[labels == cid]
-        if rows.shape[0] == 0:
-            continue
         center = rows.mean(axis=0)
         gap = center - overall
         between += rows.shape[0] * float(gap @ gap)
@@ -679,12 +674,8 @@ def silhouette(X, assignment: Assignment, dist: np.ndarray | None = None) -> flo
             "silhouette: excluding %d noise points (%.1f%% of %d rows)",
             excluded, 100.0 * excluded / labels.size, labels.size,
         )
-        X = X[keep]
-        labels = labels[keep]
-        if dist is not None:
-            dist = dist[np.ix_(keep, keep)]
-    n = X.shape[0]
-    uniq, own = np.unique(labels, return_inverse=True)
+    uniq, own = np.unique(labels[keep], return_inverse=True)
+    n = own.size
     if uniq.size < 2:
         raise ClusterError(f"silhouette needs at least 2 clusters, got {uniq.size}")
     counts = np.bincount(own)
@@ -695,7 +686,8 @@ def silhouette(X, assignment: Assignment, dist: np.ndarray | None = None) -> flo
 
     if dist is None:
         dist = exact_distances(X)
-    sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)
+    # Noise columns match no cluster; noise rows are dropped after the sums.
+    sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)[keep]
     rows = np.arange(n)
     own_size = counts[own]
     means = sums / counts

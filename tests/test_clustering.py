@@ -4,6 +4,8 @@ Oracles here are written from the definitions with plain Python loops
 and share no code with the library: direct-definition Calinski-Harabasz
 and silhouette, an exhaustive merge-order explorer for ward
 agglomeration, and a neighbor-count reachability oracle for DBSCAN.
+``_reference_dbscan`` is the stack search and per-border loop that
+``dbscan`` replaced; it shares the library's distance computation.
 """
 
 import itertools
@@ -12,11 +14,12 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from droidlens.clustering import (
     Assignment,
     KMeansModel,
+    _sq_dists,
     agglomerative,
     assign_clusters_batch,
     birch,
@@ -134,6 +137,42 @@ def oracle_dbscan_cores(X, eps, min_pts):
     return comps, cores, noise
 
 
+def _reference_dbscan(X, eps, min_pts):
+    """DBSCAN as a depth-first stack search over core rows, then one
+    loop over the border rows."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    dist = np.sqrt(_sq_dists(X, X))
+    within = dist <= eps
+    core = within.sum(axis=1) >= min_pts
+    core_idx = np.flatnonzero(core)
+
+    labels = np.full(n, -1, dtype=np.int64)
+    next_id = 0
+    for start in core_idx:
+        if labels[start] != -1:
+            continue
+        stack = [int(start)]
+        labels[start] = next_id
+        while stack:
+            p = stack.pop()
+            for q in np.flatnonzero(within[p] & core):
+                if labels[q] == -1:
+                    labels[q] = next_id
+                    stack.append(int(q))
+        next_id += 1
+
+    if core_idx.size:
+        border = np.flatnonzero(~core & within[:, core_idx].any(axis=1))
+        for p in border:
+            cands = dist[p, core_idx]
+            reach = cands <= eps
+            best = core_idx[reach][int(np.argmin(cands[reach]))]
+            labels[p] = labels[best]
+
+    return Assignment(labels=tuple(int(v) for v in labels), k=next_id)
+
+
 def partition_of(assignment):
     groups = defaultdict(set)
     for i, lab in enumerate(assignment.labels):
@@ -164,9 +203,12 @@ def test_assignment_validation():
         Assignment(labels=(0, 2), k=2)
     with pytest.raises(ClusterError):
         Assignment(labels=(0, -2), k=1)
-    with pytest.raises(ClusterError):
+    with pytest.raises(ClusterError, match=r"^row 0: label 0 outside \[0, 0\)$"):
         Assignment(labels=(0,), k=0)
     assert Assignment(labels=(-1, -1), k=0).n == 2  # all noise is legal with k = 0
+    # Several bad rows: the message names the first.
+    with pytest.raises(ClusterError, match=r"^row 2: label 5 outside \[0, 2\)$"):
+        Assignment(labels=(0, -1, 5, -2, 9), k=2)
 
 
 # --- k-means ----------------------------------------------------------------
@@ -368,6 +410,26 @@ def test_birch_default_threshold_separates_blobs():
     assert len(set(labels[:30])) == 1 and labels[0] != labels[30]
 
 
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    d=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=6),
+    threshold=st.sampled_from([1e-6, 0.05, 0.3]),
+    grid=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_birch_label_order_is_by_first_row(n, d, k, threshold, grid, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, (n, d)).astype(float) if grid else rng.normal(0, 3, (n, d))
+    try:
+        assign = birch(X, min(k, n), threshold=threshold, branching=3)
+    except ClusterError as exc:
+        assert "leaf entries" in str(exc)
+        return
+    assert list(dict.fromkeys(assign.labels)) == list(range(assign.k))
+
+
 def test_birch_errors():
     with pytest.raises(ClusterError):
         birch(FOUR_POINTS, 2, threshold=0.0)
@@ -454,6 +516,35 @@ def test_dbscan_permutation_invariant(seed):
         return out
 
     assert canonical(base.labels) == canonical(unshuffled)
+
+
+@st.composite
+def _dbscan_problems(draw):
+    min_pts = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # Integer grid, eps one of its short distances: ties everywhere,
+        # several clusters, and border rows equidistant from two cores.
+        n = draw(st.integers(1, 60))
+        d = draw(st.integers(1, 2))
+        X = rng.integers(0, 9, (n, d)).astype(float)
+        eps = math.sqrt(draw(st.integers(1, 2 * d)))
+    else:
+        # Shuffled line: the search runs up to n levels deep.
+        n = draw(st.integers(1, 60))
+        X = rng.permutation(n).astype(float)[:, None]
+        eps = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    return X, eps, min_pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dbscan_problems())
+# Row 3 is a border row at distance 1 from the cores of two clusters.
+@example((np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.0], [4.0]]), 1.0, 4))
+def test_dbscan_matches_reference(problem):
+    X, eps, min_pts = problem
+    assert dbscan(X, eps, min_pts) == _reference_dbscan(X, eps, min_pts)
 
 
 def test_dbscan_errors():
@@ -566,6 +657,18 @@ def test_ch_errors():
         calinski_harabasz(FOUR_POINTS, Assignment(labels=(0, 0, 1, -1), k=2))
 
 
+def test_ch_counts_non_empty_clusters():
+    # k-means on identical rows leaves cluster 1 empty: one cluster found.
+    same = np.ones((6, 3))
+    _, assign = kmeans(same, 2, seed=0)
+    assert assign.k == 2 and set(assign.labels) == {0}
+    with pytest.raises(ClusterError, match="k >= 2"):
+        calinski_harabasz(same, assign)
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [6.0, 5.0], [5.0, 6.0]])
+    gapped = Assignment(labels=(0, 0, 2, 2, 2), k=3)
+    assert calinski_harabasz(X, gapped) == oracle_ch(X.tolist(), list(gapped.labels))
+
+
 def test_silhouette_singleton_convention():
     X = np.array([[0.0], [10.0], [11.0]])
     assign = Assignment(labels=(0, 1, 1), k=2)
@@ -619,7 +722,10 @@ def test_silhouette_with_dist_matches_without():
                 silhouette(X, assign, dist=exact_distances(X))
             continue
         assert silhouette(X, assign, dist=exact_distances(X)) == want
-        if (labels != -1).all():
+        keep = labels != -1
+        kept = Assignment(labels=np.array(assign.labels)[keep], k=assign.k)
+        assert silhouette(X[keep], kept) == want  # noise rows change nothing
+        if keep.all():
             assert want == pytest.approx(
                 oracle_silhouette(X.tolist(), list(assign.labels)), rel=1e-9, abs=1e-12
             )
