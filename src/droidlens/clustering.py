@@ -2,10 +2,13 @@
 
 Five fitters (k-means, agglomerative, BIRCH, DBSCAN, Gaussian mixture)
 plus the Calinski-Harabasz and silhouette indices used to pick between
-them.  Everything is deterministic given (X, params, seed): ties break
-toward the lowest index, and all randomness flows through derived
-generator streams.  Features are consumed raw; callers standardize
-beforehand if they want scaled distances.
+them.  Every fitter returns its partition as a 1-D integer array of
+cluster ids, one per row, with -1 marking DBSCAN noise; k-means and
+the mixture return their model alongside it.  Everything is
+deterministic given (X, params, seed): ties break toward the lowest
+index, and all randomness flows through derived generator streams.
+Features are consumed raw; callers standardize beforehand if they want
+scaled distances.
 """
 
 from __future__ import annotations
@@ -77,32 +80,6 @@ def exact_distances(X: np.ndarray, *, tile: int | None = None) -> np.ndarray:
             out[r0 : r0 + tile, c0 : c0 + tile] = block
             out[c0 : c0 + tile, r0 : r0 + tile] = block.T
     return out
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Cluster ids per row; -1 marks DBSCAN noise.
-
-    k counts the non-noise clusters.  k = 0 is legal only for the
-    all-noise outcome.
-    """
-
-    labels: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", tuple(labels.tolist()))
-        if self.k < 0:
-            raise ClusterError(f"k must be non-negative, got {self.k}")
-        bad = np.flatnonzero((labels != -1) & ((labels < 0) | (labels >= self.k)))
-        if bad.size:
-            i = int(bad[0])
-            raise ClusterError(f"row {i}: label {labels[i]} outside [0, {self.k})")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -185,7 +162,7 @@ _KMEANS_TOL = 1e-6  # stop once no centroid moves this far
 _SSE_RESTARTS = 10
 
 
-def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, Assignment]:
+def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, np.ndarray]:
     """Lloyd iterations from a k-means++ start.
 
     Nearest-centroid ties go to the lowest centroid index.  SSE is
@@ -232,7 +209,7 @@ def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, Assignment]:
     labels, _, sse = assign(centroids)
     check_monotone(sse)
     model = KMeansModel(centroids=centroids, sse=sse, iterations=iterations)
-    return model, Assignment(labels=labels, k=k)
+    return model, labels
 
 
 def sse_curve(X, k_range, seed: int) -> list[tuple[int, float]]:
@@ -253,20 +230,20 @@ def sse_curve(X, k_range, seed: int) -> list[tuple[int, float]]:
     return curve
 
 
-def assign_clusters_batch(X, model: KMeansModel) -> np.ndarray:
+def assign_clusters_batch(X, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid per row; ties go to the lowest index."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.centroids.shape[1]:
+    if X.ndim != 2 or X.shape[1] != centroids.shape[1]:
         raise ClusterError(
             f"matrix has shape {X.shape}, centroids are "
-            f"{model.centroids.shape[0]}x{model.centroids.shape[1]}"
+            f"{centroids.shape[0]}x{centroids.shape[1]}"
         )
-    return np.argmin(_sq_dists(X, model.centroids), axis=1)
+    return np.argmin(_sq_dists(X, centroids), axis=1)
 
 
 # --- agglomerative ----------------------------------------------------------
 
-def agglomerative(X, k: int) -> Assignment:
+def agglomerative(X, k: int) -> np.ndarray:
     """Bottom-up ward merging from singletons.
 
     Each round merges the pair with minimum variance increase
@@ -287,7 +264,7 @@ def agglomerative(X, k: int) -> Assignment:
     D = 0.5 * _sq_dists(X, X)
     # Keep only i < j cells; flat argmin then scans pairs in (i, j)
     # lexicographic order, which is the documented tie-break.
-    D[np.tril_indices(n)] = np.inf
+    D[np.tri(n, dtype=bool)] = np.inf
 
     for _ in range(n - k):
         flat = int(np.argmin(D))
@@ -309,7 +286,7 @@ def agglomerative(X, k: int) -> Assignment:
             ).sum(axis=1)
             D[np.minimum(others, i), np.maximum(others, i)] = merged
 
-    return Assignment(labels=np.unique(owner, return_inverse=True)[1], k=k)
+    return np.unique(owner, return_inverse=True)[1]
 
 
 # --- BIRCH -------------------------------------------------------------------
@@ -417,7 +394,7 @@ def _leaf_entries(node: _CFNode) -> list[_CF]:
     return out
 
 
-def birch(X, k: int, threshold: float = 0.05, branching: int = 50) -> Assignment:
+def birch(X, k: int, threshold: float = 0.05, branching: int = 50) -> np.ndarray:
     """Single-pass CF-tree condensation, then ward over leaf entries.
 
     ``threshold`` is a fraction of the data radius (max distance to the
@@ -451,22 +428,22 @@ def birch(X, k: int, threshold: float = 0.05, branching: int = 50) -> Assignment
         )
 
     centroids = np.array([e.centroid() for e in entries])
-    grouping = np.asarray(agglomerative(centroids, k).labels)
+    grouping = agglomerative(centroids, k)
     final = np.zeros((k, X.shape[1]))
     np.add.at(final, grouping, np.array([e.ls for e in entries]))
     weights = np.bincount(grouping, weights=[e.n for e in entries], minlength=k)
     final /= weights[:, None]
 
-    raw = np.argmin(_sq_dists(X, final), axis=1)
+    raw = assign_clusters_batch(X, final)
     # Number the clusters by their first row.
     _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    return Assignment(labels=np.argsort(np.argsort(first))[inverse], k=first.size)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 # --- DBSCAN ------------------------------------------------------------------
 
 
-def dbscan(X, eps: float, min_pts: int = 5) -> Assignment:
+def dbscan(X, eps: float, min_pts: int = 5) -> np.ndarray:
     """Density clustering; core iff >= min_pts neighbors within eps
     (self included).
 
@@ -515,7 +492,7 @@ def dbscan(X, eps: float, min_pts: int = 5) -> Assignment:
         nearest = np.where(within[cols], dist[cols], np.inf).argmin(axis=1)
         labels[border] = labels[core_idx[nearest]]
 
-    return Assignment(labels=labels, k=k)
+    return labels
 
 
 # --- Gaussian mixture ---------------------------------------------------------
@@ -540,7 +517,7 @@ _GMM_TOL = 1e-6  # stop once the log likelihood gains less than this
 _GMM_VAR_FLOOR = 1e-6
 
 
-def gmm(X, k: int, seed: int) -> tuple[GmmModel, Assignment]:
+def gmm(X, k: int, seed: int) -> tuple[GmmModel, np.ndarray]:
     """EM for a diagonal-covariance mixture, seeded from k-means.
 
     Responsibilities are computed in log space; the total log
@@ -552,8 +529,7 @@ def gmm(X, k: int, seed: int) -> tuple[GmmModel, Assignment]:
     n, d = X.shape
     _check_k(k, n)
 
-    _, init = kmeans(X, k, seed)
-    init_labels = np.array(init.labels)
+    _, init_labels = kmeans(X, k, seed)
     means = np.empty((k, d))
     variances = np.empty((k, d))
     weights = np.empty(k)
@@ -608,29 +584,34 @@ def gmm(X, k: int, seed: int) -> tuple[GmmModel, Assignment]:
     model = GmmModel(
         weights=weights, means=means, variances=variances, log_likelihood=prev_ll
     )
-    return model, Assignment(labels=np.argmax(resp, axis=1), k=k)
+    return model, np.argmax(resp, axis=1)
 
 
 # --- Validity indices ----------------------------------------------------------
 
 
-def _validated_partition(X: np.ndarray, assignment: Assignment, allow_noise: bool):
-    if len(assignment.labels) != X.shape[0]:
-        raise ClusterError(
-            f"{len(assignment.labels)} labels for {X.shape[0]} rows"
-        )
-    labels = np.array(assignment.labels)
+def _validated_partition(X: np.ndarray, labels, allow_noise: bool) -> np.ndarray:
+    """The labels as a 1-D integer array, one per row of X, none below -1."""
+    labels = np.asarray(labels)
+    if labels.shape != (X.shape[0],):
+        raise ClusterError(f"labels have shape {labels.shape}, X has {X.shape[0]} rows")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ClusterError(f"labels must be integers, got dtype {labels.dtype}")
+    bad = np.flatnonzero(labels < -1)
+    if bad.size:
+        i = int(bad[0])
+        raise ClusterError(f"row {i}: label {labels[i]} below -1")
     if not allow_noise and (labels == -1).any():
         raise ClusterError("noise labels present; filter them before scoring")
     return labels
 
 
-def calinski_harabasz(X, assignment: Assignment) -> float:
+def calinski_harabasz(X, labels) -> float:
     """Between/within dispersion ratio; +inf when W = 0 (a sentinel,
     reported, never a crash).  k counts the non-empty clusters, so an
     unused cluster id changes neither k - 1 nor n - k."""
     X = _as_matrix(X)
-    labels = _validated_partition(X, assignment, allow_noise=False)
+    labels = _validated_partition(X, labels, allow_noise=False)
     present = np.unique(labels)
     k = present.size
     n = X.shape[0]
@@ -652,7 +633,7 @@ def calinski_harabasz(X, assignment: Assignment) -> float:
     return (between / (k - 1)) / (within / (n - k))
 
 
-def silhouette(X, assignment: Assignment, dist: np.ndarray | None = None) -> float:
+def silhouette(X, labels, dist: np.ndarray | None = None) -> float:
     """Mean silhouette over non-noise points; singleton clusters
     contribute 0 by convention.  Exact O(n^2) distances.
 
@@ -661,7 +642,7 @@ def silhouette(X, assignment: Assignment, dist: np.ndarray | None = None) -> flo
     once; without it the matrix is computed here.
     """
     X = _as_matrix(X)
-    labels = _validated_partition(X, assignment, allow_noise=True)
+    labels = _validated_partition(X, labels, allow_noise=True)
     if dist is not None and dist.shape != (X.shape[0], X.shape[0]):
         raise ClusterError(
             f"distance matrix has shape {dist.shape}, expected "

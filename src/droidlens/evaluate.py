@@ -2,9 +2,10 @@
 
 The clustered pipeline partitions each training split with k-means,
 balances each cluster with SMOTE, and trains one model per cluster;
-test rows are routed to the model of their nearest centroid.  The
-plain pipeline, which trains one model per fold on the whole training
-split, is implemented as that loop with one cluster and SMOTE off.
+each test row goes to the model of its nearest centroid among the
+clusters that have training rows.  The plain pipeline, which trains
+one model per fold on the whole training split, is implemented as that
+loop with one cluster and SMOTE off.
 
 Each report row keeps its classifier's per-fold confusion counts;
 its metrics are computed from those counts pooled over the folds.
@@ -22,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import (
-    Assignment,
     agglomerative,
     assign_clusters_batch,
     birch,
@@ -193,22 +193,6 @@ def _fit_with_context(spec: ClassifierSpec, ds: Dataset, fold: int):
         raise EvalError(f"fold {fold}: fitting {spec.kind} failed: {exc}") from exc
 
 
-def _route_empty_clusters(test_X, test_assign, centroids, non_empty, fold):
-    """Test rows in clusters with no training rows move to the nearest
-    non-empty cluster."""
-    routed = test_assign.copy()
-    orphan = ~np.isin(test_assign, non_empty)
-    if orphan.any():
-        live = np.array(sorted(non_empty), dtype=int)
-        diffs = test_X[orphan, None, :] - centroids[live][None, :, :]
-        nearest = live[np.argmin((diffs * diffs).sum(axis=2), axis=1)]
-        routed[orphan] = nearest
-        logger.info(
-            "fold %d: rerouted %d test rows from training-empty clusters", fold, int(orphan.sum())
-        )
-    return routed
-
-
 def run_clustered_pipeline(
     ds: Dataset,
     specs,
@@ -243,12 +227,17 @@ def run_clustered_pipeline(
             km = global_km
         else:
             km, _ = kmeans(train.features, cluster_k, seed=derive_seed(seed, "cluster", i))
-        train_assign = assign_clusters_batch(train.features, km)
-        test_assign = assign_clusters_batch(test.features, km)
-        non_empty = sorted(int(c) for c in np.unique(train_assign))
-        routed = _route_empty_clusters(
-            test.features, test_assign, km.centroids, non_empty, i
-        )
+        train_assign = assign_clusters_batch(train.features, km.centroids)
+        live = np.unique(train_assign)
+        routed = live[assign_clusters_batch(test.features, km.centroids[live])]
+        if live.size < cluster_k:
+            nearest = assign_clusters_batch(test.features, km.centroids)
+            moved = int((routed != nearest).sum())
+            if moved:
+                logger.info(
+                    "fold %d: rerouted %d test rows from training-empty clusters", i, moved
+                )
+        non_empty = live.tolist()
         cluster_data: dict[int, Dataset] = {}
         for c in non_empty:
             sub = train.take(np.flatnonzero(train_assign == c))
@@ -312,7 +301,7 @@ class ComparisonRow:
     winner: bool = False
 
 
-def _grid_assignment(algorithm: str, X, param, seed: int) -> Assignment:
+def _grid_labels(algorithm: str, X, param, seed: int) -> np.ndarray:
     row_seed = derive_seed(seed, "compare", algorithm, str(param))
     if algorithm == "kmeans":
         return kmeans(X, int(param), seed=row_seed)[1]
@@ -358,20 +347,20 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
         for param in grids[algorithm]:
             parameter = f"{label} = {param:g}"
             try:
-                assignment = _grid_assignment(algorithm, X, param, seed)
+                labels = _grid_labels(algorithm, X, param, seed)
             except ClusterError as exc:
                 logger.info("%s %s failed: %s", algorithm, parameter, exc)
                 rows.append(ComparisonRow(algorithm, parameter, None, None, None))
                 continue
-            found = len({lab for lab in assignment.labels if lab != -1})
+            found = np.unique(labels[labels >= 0]).size
             try:
-                ch = calinski_harabasz(X, assignment)
+                ch = calinski_harabasz(X, labels)
             except ClusterError:
                 ch = None
             if dist is None:
                 dist = exact_distances(X)
             try:
-                sil = silhouette(X, assignment, dist=dist)
+                sil = silhouette(X, labels, dist=dist)
             except ClusterError:
                 sil = None
             rows.append(ComparisonRow(algorithm, parameter, found, ch, sil))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import test_uleb128 as uleb
-from droidlens.clustering import Assignment, calinski_harabasz, kmeans, silhouette
+from droidlens.clustering import calinski_harabasz, kmeans, silhouette
 from droidlens.dex import extract_histogram, parse_dex
 from droidlens.errors import DexParseError
 from droidlens.evaluate import (
@@ -96,7 +96,7 @@ def _random_partition(rng):
     labels = rng.integers(0, k, n)
     labels[:k] = np.arange(k)  # every cluster occupied
     rng.shuffle(labels)
-    return X, Assignment(labels=tuple(int(v) for v in labels), k=k)
+    return X, labels
 
 
 def test_validity_index_oracles():
@@ -104,11 +104,10 @@ def test_validity_index_oracles():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        X, assignment = _random_partition(rng)
-        labels = np.array(assignment.labels)
+        X, labels = _random_partition(rng)
         for got, want in (
-            (calinski_harabasz(X, assignment), oracle_ch(X, labels)),
-            (silhouette(X, assignment), oracle_silhouette(X, labels)),
+            (calinski_harabasz(X, labels), oracle_ch(X, labels)),
+            (silhouette(X, labels), oracle_silhouette(X, labels)),
         ):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
@@ -137,8 +136,7 @@ def test_kmeans_monotone_and_blob_recovery():
         d = int(rng.integers(1, 6))
         k = int(rng.integers(1, min(6, n) + 1))
         X = rng.uniform(0, 10, (n, d))
-        model, assignment = kmeans(X, k, seed=int(rng.integers(0, 2**31)))
-        labels = np.array(assignment.labels)
+        model, labels = kmeans(X, k, seed=int(rng.integers(0, 2**31)))
         sse = sum(
             float(((X[labels == c] - model.centroids[c]) ** 2).sum()) for c in range(k)
         )
@@ -153,8 +151,7 @@ def test_kmeans_monotone_and_blob_recovery():
                 blob_rng.normal((6.0, 6.0), 0.1, (40, 2)),
             ]
         )
-        _, assignment = kmeans(X, 2, seed=seed)
-        labels = np.array(assignment.labels)
+        _, labels = kmeans(X, 2, seed=seed)
         two_sides = (labels[:40] == labels[0]).all() and (labels[40:] == labels[40]).all()
         if two_sides and labels[0] != labels[40]:
             recovered += 1

@@ -17,8 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from droidlens.clustering import (
-    Assignment,
-    KMeansModel,
     _sq_dists,
     agglomerative,
     assign_clusters_batch,
@@ -170,12 +168,12 @@ def _reference_dbscan(X, eps, min_pts):
             best = core_idx[reach][int(np.argmin(cands[reach]))]
             labels[p] = labels[best]
 
-    return Assignment(labels=tuple(int(v) for v in labels), k=next_id)
+    return labels
 
 
-def partition_of(assignment):
+def partition_of(labels):
     groups = defaultdict(set)
-    for i, lab in enumerate(assignment.labels):
+    for i, lab in enumerate(labels.tolist()):
         if lab != -1:
             groups[lab].add(i)
     return frozenset(frozenset(g) for g in groups.values())
@@ -186,29 +184,13 @@ def oracle_sse(X, centroids, labels):
 
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
-AABB = Assignment(labels=(0, 0, 1, 1), k=2)
+AABB = np.array([0, 0, 1, 1])
 
 
 def two_blob_matrix(seed, sigma=0.1, per=30, centers=((0.0, 0.0), (10.0, 10.0))):
     rng = np.random.default_rng(seed)
     blocks = [np.asarray(c) + rng.normal(0, sigma, (per, len(c))) for c in centers]
     return np.vstack(blocks)
-
-
-# --- Assignment type -------------------------------------------------------
-
-
-def test_assignment_validation():
-    with pytest.raises(ClusterError):
-        Assignment(labels=(0, 2), k=2)
-    with pytest.raises(ClusterError):
-        Assignment(labels=(0, -2), k=1)
-    with pytest.raises(ClusterError, match=r"^row 0: label 0 outside \[0, 0\)$"):
-        Assignment(labels=(0,), k=0)
-    assert Assignment(labels=(-1, -1), k=0).n == 2  # all noise is legal with k = 0
-    # Several bad rows: the message names the first.
-    with pytest.raises(ClusterError, match=r"^row 2: label 5 outside \[0, 2\)$"):
-        Assignment(labels=(0, -1, 5, -2, 9), k=2)
 
 
 # --- k-means ----------------------------------------------------------------
@@ -220,7 +202,7 @@ def test_kmeans_two_copies_exact():
     got = {tuple(c) for c in model.centroids}
     assert got == {(0.0, 0.0), (10.0, 10.0)}
     assert model.sse == 0.0
-    assert len(set(assign.labels[:5])) == 1 and len(set(assign.labels[5:])) == 1
+    assert len(set(assign[:5].tolist())) == 1 and len(set(assign[5:].tolist())) == 1
 
 
 def test_kmeans_k1_is_column_mean():
@@ -228,7 +210,7 @@ def test_kmeans_k1_is_column_mean():
     model, assign = kmeans(X, 1, seed=3)
     assert np.allclose(model.centroids[0], X.mean(axis=0))
     assert model.sse == pytest.approx(((X - X.mean(axis=0)) ** 2).sum())
-    assert assign.labels == (0, 0, 0)
+    assert assign.tolist() == [0, 0, 0]
 
 
 def test_kmeans_k_equals_n():
@@ -240,8 +222,7 @@ def test_kmeans_k_equals_n():
 def test_kmeans_blob_recovery_ten_seeds():
     for seed in range(10):
         X = two_blob_matrix(seed)
-        model, assign = kmeans(X, 2, seed=seed)
-        labels = np.array(assign.labels)
+        model, labels = kmeans(X, 2, seed=seed)
         assert len(set(labels[:30])) == 1
         assert len(set(labels[30:])) == 1
         assert labels[0] != labels[30]
@@ -255,7 +236,7 @@ def test_kmeans_determinism():
     m1, a1 = kmeans(X, 3, seed=123)
     m2, a2 = kmeans(X, 3, seed=123)
     assert np.array_equal(m1.centroids, m2.centroids)
-    assert a1.labels == a2.labels
+    assert np.array_equal(a1, a2)
     assert m1.sse == m2.sse
 
 
@@ -270,8 +251,7 @@ def test_kmeans_postconditions_fuzz(n, d, k, seed):
     k = min(k, n)
     rng = np.random.default_rng(seed)
     X = rng.normal(0, 3, (n, d))
-    model, assign = kmeans(X, k, seed=seed)  # internal monotone check armed
-    labels = np.array(assign.labels)
+    model, labels = kmeans(X, k, seed=seed)  # internal monotone check armed
     assert labels.min() >= 0 and labels.max() < k
     recomputed = oracle_sse(X, model.centroids, labels)
     assert model.sse == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
@@ -342,7 +322,7 @@ def test_agglomerative_matches_merge_oracle():
         for Z in (X, grid):
             assign = agglomerative(Z, k)
             assert partition_of(assign) in oracle_merge_outcomes(Z.tolist(), k)
-            assert list(dict.fromkeys(assign.labels)) == list(range(k))  # ids by first row
+            assert list(dict.fromkeys(assign.tolist())) == list(range(k))  # ids by first row
 
 
 @given(
@@ -353,15 +333,15 @@ def test_agglomerative_matches_merge_oracle():
 def test_agglomerative_trivial_partitions(n, seed):
     X = np.random.default_rng(seed).normal(0, 1, (n, 2))
     one = agglomerative(X, 1)
-    assert set(one.labels) == {0}
+    assert set(one.tolist()) == {0}
     singles = agglomerative(X, n)
-    assert sorted(set(singles.labels)) == list(range(n))
+    assert sorted(set(singles.tolist())) == list(range(n))
 
 
 def test_agglomerative_label_order_is_by_first_row():
     X = np.array([[10.0], [10.5], [0.0], [0.5]])
     assign = agglomerative(X, 2)
-    assert assign.labels == (0, 0, 1, 1)  # cluster 0 owns row 0
+    assert assign.tolist() == [0, 0, 1, 1]  # cluster 0 owns row 0
 
 
 def test_agglomerative_errors():
@@ -380,12 +360,12 @@ def test_birch_worked_example():
 
 def test_birch_single_cluster_with_huge_threshold():
     assign = birch(FOUR_POINTS, 1, threshold=10.0)
-    assert assign.labels == (0, 0, 0, 0)
+    assert assign.tolist() == [0, 0, 0, 0]
 
 
 def test_birch_singletons_with_tiny_threshold():
     assign = birch(FOUR_POINTS, 4, threshold=1e-6)
-    assert sorted(set(assign.labels)) == [0, 1, 2, 3]
+    assert sorted(set(assign.tolist())) == [0, 1, 2, 3]
 
 
 def test_birch_k_exceeds_entries():
@@ -396,8 +376,7 @@ def test_birch_k_exceeds_entries():
 
 def test_birch_blobs_with_node_splits():
     X = two_blob_matrix(21, per=100)
-    assign = birch(X, 2, threshold=0.01, branching=4)  # force many splits
-    labels = np.array(assign.labels)
+    labels = birch(X, 2, threshold=0.01, branching=4)  # force many splits
     assert len(set(labels[:100])) == 1
     assert len(set(labels[100:])) == 1
     assert labels[0] != labels[100]
@@ -405,8 +384,7 @@ def test_birch_blobs_with_node_splits():
 
 def test_birch_default_threshold_separates_blobs():
     X = two_blob_matrix(8)
-    assign = birch(X, 2)
-    labels = np.array(assign.labels)
+    labels = birch(X, 2)
     assert len(set(labels[:30])) == 1 and labels[0] != labels[30]
 
 
@@ -427,7 +405,7 @@ def test_birch_label_order_is_by_first_row(n, d, k, threshold, grid, seed):
     except ClusterError as exc:
         assert "leaf entries" in str(exc)
         return
-    assert list(dict.fromkeys(assign.labels)) == list(range(assign.k))
+    assert list(dict.fromkeys(assign.tolist())) == list(range(assign.max() + 1))
 
 
 def test_birch_errors():
@@ -445,8 +423,8 @@ def test_dbscan_line_is_one_cluster():
     comps, cores, noise = oracle_dbscan_cores(X.tolist(), 1.5, 2)
     assert comps == [frozenset({0, 1, 2})] and not noise
     assign = dbscan(X, eps=1.5, min_pts=2)
-    assert assign.labels == (0, 0, 0)
-    assert assign.k == 1
+    assert assign.tolist() == [0, 0, 0]
+    assert assign.max() + 1 == 1
 
 
 def test_dbscan_outlier_is_noise():
@@ -454,14 +432,14 @@ def test_dbscan_outlier_is_noise():
     comps, cores, noise = oracle_dbscan_cores(X.tolist(), 1.5, 2)
     assert noise == {3}
     assign = dbscan(X, eps=1.5, min_pts=2)
-    assert assign.labels == (0, 0, 0, -1)
+    assert assign.tolist() == [0, 0, 0, -1]
 
 
 def test_dbscan_all_noise():
     X = np.array([[0.0], [10.0], [20.0]])
     assign = dbscan(X, eps=1.0, min_pts=2)
-    assert assign.labels == (-1, -1, -1)
-    assert assign.k == 0
+    assert assign.tolist() == [-1, -1, -1]
+    assert assign.max() + 1 == 0
 
 
 def test_dbscan_border_attaches_to_core_cluster():
@@ -470,13 +448,13 @@ def test_dbscan_border_attaches_to_core_cluster():
     comps, cores, noise = oracle_dbscan_cores(X.tolist(), 1.1, 3)
     assert cores == {1} and not noise
     assign = dbscan(X, eps=1.1, min_pts=3)
-    assert assign.labels == (0, 0, 0)
+    assert assign.tolist() == [0, 0, 0]
 
 
 def test_dbscan_ids_follow_first_core_row():
     X = np.array([[50.0], [51.0], [0.0], [1.0]])
     assign = dbscan(X, eps=1.5, min_pts=2)
-    assert assign.labels == (0, 0, 1, 1)
+    assert assign.tolist() == [0, 0, 1, 1]
 
 
 def test_dbscan_two_islands_match_oracle():
@@ -485,10 +463,10 @@ def test_dbscan_two_islands_match_oracle():
     comps, cores, noise = oracle_dbscan_cores(X.tolist(), 1.0, 4)
     assign = dbscan(X, eps=1.0, min_pts=4)
     assert partition_of(assign) == frozenset(
-        frozenset(c | {i for i in range(len(X)) if assign.labels[i] == assign.labels[min(c)]})
+        frozenset(c | {i for i in range(len(X)) if assign[i] == assign[min(c)]})
         for c in comps
     )
-    assert {i for i, lab in enumerate(assign.labels) if lab == -1} == noise
+    assert {i for i, lab in enumerate(assign.tolist()) if lab == -1} == noise
 
 
 @given(seed=st.integers(min_value=0, max_value=2_000))
@@ -502,7 +480,7 @@ def test_dbscan_permutation_invariant(seed):
     shuffled = dbscan(X[perm], eps=1.2, min_pts=3)
     unshuffled = [None] * len(X)
     for pos, orig in enumerate(perm):
-        unshuffled[orig] = shuffled.labels[pos]
+        unshuffled[orig] = int(shuffled[pos])
 
     def canonical(labels):
         remap, out = {}, []
@@ -515,7 +493,7 @@ def test_dbscan_permutation_invariant(seed):
             out.append(remap[lab])
         return out
 
-    assert canonical(base.labels) == canonical(unshuffled)
+    assert canonical(base.tolist()) == canonical(unshuffled)
 
 
 @st.composite
@@ -544,7 +522,9 @@ def _dbscan_problems(draw):
 @example((np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.0], [4.0]]), 1.0, 4))
 def test_dbscan_matches_reference(problem):
     X, eps, min_pts = problem
-    assert dbscan(X, eps, min_pts) == _reference_dbscan(X, eps, min_pts)
+    got = dbscan(X, eps, min_pts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_dbscan(X, eps, min_pts))
 
 
 def test_dbscan_errors():
@@ -560,11 +540,10 @@ def test_dbscan_errors():
 def test_gmm_two_separated_blobs():
     rng = np.random.default_rng(7)
     X = np.vstack([rng.normal(0, 0.5, (40, 2)), rng.normal(100, 0.5, (40, 2))])
-    model, assign = gmm(X, 2, seed=7)
+    model, labels = gmm(X, 2, seed=7)
     order = np.argsort(model.means[:, 0])
     assert np.abs(model.means[order[0]] - 0.0).max() < 0.2
     assert np.abs(model.means[order[1]] - 100.0).max() < 0.2
-    labels = np.array(assign.labels)
     assert len(set(labels[:40])) == 1 and labels[0] != labels[40]
     # Responsibilities are essentially hard at this separation.
     assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -577,7 +556,7 @@ def test_gmm_k1_matches_moments():
     assert np.allclose(model.means[0], X.mean(axis=0))
     assert np.allclose(model.variances[0], X.var(axis=0))
     assert model.weights[0] == 1.0
-    assert set(assign.labels) == {0}
+    assert set(assign.tolist()) == {0}
 
 
 def test_gmm_repeated_points_hit_floor():
@@ -593,7 +572,7 @@ def test_gmm_determinism_and_ll_finite():
     m1, a1 = gmm(X, 2, seed=42)
     m2, a2 = gmm(X, 2, seed=42)
     assert np.array_equal(m1.means, m2.means)
-    assert a1.labels == a2.labels
+    assert np.array_equal(a1, a2)
     assert math.isfinite(m1.log_likelihood)
 
 
@@ -642,58 +621,80 @@ def test_silhouette_worked_example():
 
 def test_ch_singleton_clusters_give_infinity():
     X = np.array([[0.0], [10.0]])
-    pair = Assignment(labels=(0, 1), k=2)
+    pair = np.array([0, 1])
     with pytest.raises(ClusterError):
         calinski_harabasz(X, pair)  # n > k fails first: n = k = 2
     X3 = np.array([[0.0], [0.0], [10.0]])
-    score = calinski_harabasz(X3, Assignment(labels=(0, 0, 1), k=2))
+    score = calinski_harabasz(X3, np.array([0, 0, 1]))
     assert score == math.inf
 
 
 def test_ch_errors():
     with pytest.raises(ClusterError):
-        calinski_harabasz(FOUR_POINTS, Assignment(labels=(0, 0, 0, 0), k=1))
+        calinski_harabasz(FOUR_POINTS, np.array([0, 0, 0, 0]))
     with pytest.raises(ClusterError):
-        calinski_harabasz(FOUR_POINTS, Assignment(labels=(0, 0, 1, -1), k=2))
+        calinski_harabasz(FOUR_POINTS, np.array([0, 0, 1, -1]))
 
 
 def test_ch_counts_non_empty_clusters():
     # k-means on identical rows leaves cluster 1 empty: one cluster found.
     same = np.ones((6, 3))
-    _, assign = kmeans(same, 2, seed=0)
-    assert assign.k == 2 and set(assign.labels) == {0}
+    model, assign = kmeans(same, 2, seed=0)
+    assert model.centroids.shape[0] == 2 and set(assign.tolist()) == {0}
     with pytest.raises(ClusterError, match="k >= 2"):
         calinski_harabasz(same, assign)
     X = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [6.0, 5.0], [5.0, 6.0]])
-    gapped = Assignment(labels=(0, 0, 2, 2, 2), k=3)
-    assert calinski_harabasz(X, gapped) == oracle_ch(X.tolist(), list(gapped.labels))
+    gapped = np.array([0, 0, 2, 2, 2])
+    assert calinski_harabasz(X, gapped) == oracle_ch(X.tolist(), gapped.tolist())
 
 
 def test_silhouette_singleton_convention():
     X = np.array([[0.0], [10.0], [11.0]])
-    assign = Assignment(labels=(0, 1, 1), k=2)
-    got = silhouette(X, assign)
+    got = silhouette(X, np.array([0, 1, 1]))
     assert got == pytest.approx(oracle_silhouette(X.tolist(), [0, 1, 1]), rel=1e-12)
 
 
 def test_silhouette_excludes_noise():
     X = np.array([[0.0], [1.0], [10.0], [11.0], [500.0]])
-    noisy = Assignment(labels=(0, 0, 1, 1, -1), k=2)
+    noisy = np.array([0, 0, 1, 1, -1])
     clean = silhouette(FOUR_POINTS, AABB)
     assert silhouette(X, noisy) == pytest.approx(clean, rel=1e-12)
 
 
 def test_silhouette_errors():
     with pytest.raises(ClusterError):
-        silhouette(FOUR_POINTS, Assignment(labels=(0, 0, 0, 0), k=1))
+        silhouette(FOUR_POINTS, np.array([0, 0, 0, 0]))
     X = np.array([[0.0], [5.0], [9.0]])
     with pytest.raises(ClusterError):
-        silhouette(X, Assignment(labels=(0, 1, 2), k=3))  # all singletons
+        silhouette(X, np.array([0, 1, 2]))  # all singletons
+
+
+def test_partition_label_validation():
+    noisy = np.array([0, 0, 1, 1, -1])
+    X = np.vstack([FOUR_POINTS, [[500.0]]])
+    for index in (calinski_harabasz, silhouette):
+        with pytest.raises(ClusterError, match="shape"):
+            index(FOUR_POINTS, np.array([0, 0, 1]))
+        with pytest.raises(ClusterError, match="shape"):
+            index(FOUR_POINTS, AABB[:, None])
+        # Fractional or boolean labels are rejected, not truncated.
+        with pytest.raises(ClusterError, match="integers"):
+            index(FOUR_POINTS, np.array([0, 0.5, 1, 1]))
+        with pytest.raises(ClusterError, match="integers"):
+            index(FOUR_POINTS, AABB.astype(bool))
+        # Several bad rows: the message names the first.
+        with pytest.raises(ClusterError, match=r"^row 2: label -5 below -1$"):
+            index(FOUR_POINTS, np.array([0, -1, -5, -2]))
+        assert index(FOUR_POINTS, AABB.tolist()) == index(FOUR_POINTS, AABB)
+    # -1 is noise: silhouette leaves it out, Calinski-Harabasz rejects it.
+    assert silhouette(X, noisy) == silhouette(FOUR_POINTS, AABB)
+    with pytest.raises(ClusterError, match="noise"):
+        calinski_harabasz(X, noisy)
 
 
 def test_silhouette_rejects_misshapen_dist():
     X = np.array([[0.0], [1.0], [10.0], [11.0], [500.0]])
-    noisy = Assignment(labels=(0, 0, 1, 1, -1), k=2)
+    noisy = np.array([0, 0, 1, 1, -1])
     with pytest.raises(ClusterError, match="distance matrix"):
         silhouette(X, noisy, dist=np.zeros((5, 4)))
     # The matrix covers X's rows before the noise filter, not after it.
@@ -714,7 +715,7 @@ def test_silhouette_with_dist_matches_without():
         if len(present) < 2:
             continue
         remap = {c: i for i, c in enumerate(present)}
-        assign = Assignment(labels=tuple(remap.get(int(v), -1) for v in labels), k=len(present))
+        assign = np.array([remap.get(int(v), -1) for v in labels])
         try:
             want = silhouette(X, assign)
         except ClusterError:
@@ -723,11 +724,10 @@ def test_silhouette_with_dist_matches_without():
             continue
         assert silhouette(X, assign, dist=exact_distances(X)) == want
         keep = labels != -1
-        kept = Assignment(labels=np.array(assign.labels)[keep], k=assign.k)
-        assert silhouette(X[keep], kept) == want  # noise rows change nothing
+        assert silhouette(X[keep], assign[keep]) == want  # noise rows change nothing
         if keep.all():
             assert want == pytest.approx(
-                oracle_silhouette(X.tolist(), list(assign.labels)), rel=1e-9, abs=1e-12
+                oracle_silhouette(X.tolist(), assign.tolist()), rel=1e-9, abs=1e-12
             )
 
 
@@ -771,11 +771,10 @@ def test_validity_indices_match_oracles_on_random_data():
         k = int(rng.integers(2, min(n - 1, 6) + 1))
         X = rng.normal(0, 5, (n, d))
         labels = _random_partition(rng, n, k)
-        assign = Assignment(labels=tuple(int(v) for v in labels), k=k)
-        ch = calinski_harabasz(X, assign)
+        ch = calinski_harabasz(X, labels)
         ch_ref = oracle_ch(X.tolist(), labels.tolist())
         assert ch == pytest.approx(ch_ref, rel=1e-9)
-        sil = silhouette(X, assign)
+        sil = silhouette(X, labels)
         sil_ref = oracle_silhouette(X.tolist(), labels.tolist())
         assert sil == pytest.approx(sil_ref, rel=1e-9, abs=1e-12)
 
@@ -784,17 +783,17 @@ def test_validity_indices_match_oracles_on_random_data():
 
 
 def test_assign_exact_centroid_and_tie():
-    model = KMeansModel(centroids=np.array([[0.0, 0.0], [4.0, 0.0]]), sse=0.0, iterations=1)
+    centroids = np.array([[0.0, 0.0], [4.0, 0.0]])
     points = np.array([[4.0, 0.0], [2.0, 0.0], [3.9, 0.1]])  # exact, equidistant tie, near
-    assert assign_clusters_batch(points, model).tolist() == [1, 0, 1]
+    assert assign_clusters_batch(points, centroids).tolist() == [1, 0, 1]
 
 
 def test_assign_dimension_mismatch():
-    model = KMeansModel(centroids=np.array([[0.0, 0.0]]), sse=0.0, iterations=1)
+    centroids = np.array([[0.0, 0.0]])
     with pytest.raises(ClusterError):
-        assign_clusters_batch(np.array([1.0, 2.0, 3.0]), model)
+        assign_clusters_batch(np.array([1.0, 2.0, 3.0]), centroids)
     with pytest.raises(ClusterError):
-        assign_clusters_batch(np.zeros((2, 3)), model)
+        assign_clusters_batch(np.zeros((2, 3)), centroids)
 
 
 def test_assign_batch_matches_single():
@@ -802,9 +801,7 @@ def test_assign_batch_matches_single():
     X = rng.normal(0, 5, (40, 3))
     model, _ = kmeans(X, 4, seed=3)
     # A duplicated centroid puts its own probe row on an exact tie.
-    tied = KMeansModel(
-        centroids=np.vstack([model.centroids, model.centroids[2]]), sse=0.0, iterations=1
-    )
+    tied = np.vstack([model.centroids, model.centroids[2]])
     probe = np.vstack([X, model.centroids])
 
     def nearest(row, centroids):
@@ -815,6 +812,6 @@ def test_assign_batch_matches_single():
                 best, best_d = c, d
         return best
 
-    for m in (model, tied):
-        singles = [nearest(row, m.centroids) for row in probe]
-        assert assign_clusters_batch(probe, m).tolist() == singles
+    for centroids in (model.centroids, tied):
+        singles = [nearest(row, centroids) for row in probe]
+        assert assign_clusters_batch(probe, centroids).tolist() == singles

@@ -4,6 +4,7 @@ Oracles: exact rational arithmetic for the three metrics, and direct
 set algebra for fold partition properties.
 """
 
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from droidlens.evaluate import (
     side_by_side_markdown,
 )
 from droidlens.learn import KINDS, ClassifierSpec
-from droidlens.rng import derive_rng
+from droidlens.rng import derive_rng, derive_seed
 from evalfactory import four_blob_dataset, make_ds, two_blob_dataset
 
 
@@ -332,6 +333,114 @@ def test_empty_cluster_rerouting_logged(caplog):
     assert report.fold_count == 3
 
 
+def _reference_route(test_X, centroids, live):
+    """The two routing passes the fold loop once made: every row to its
+    nearest centroid, then the rows whose cluster has no training rows
+    to the nearest live centroid by direct differences."""
+    routed = clustering.assign_clusters_batch(test_X, centroids)
+    orphan = ~np.isin(routed, live)
+    if orphan.any():
+        diffs = test_X[orphan, None, :] - centroids[live][None, :, :]
+        routed[orphan] = live[np.argmin((diffs * diffs).sum(axis=2), axis=1)]
+    return routed
+
+
+@st.composite
+def _routing_problems(draw):
+    """Distinct integer-grid rows and centroids on a grid of halves or
+    thirds: many rows sit equidistant from two centroids, and whole
+    clusters lose their training rows to the test fold.  A repeated
+    centroid never gets training rows, since ties go to the lower id."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 3))
+    cluster_k = draw(st.integers(2, 6))
+    n = draw(st.integers(2 * cluster_k, 30))
+    grid = np.array(list(np.ndindex(*(6,) * d)), dtype=float)
+    X = grid[rng.choice(len(grid), size=n, replace=False)]
+    centroids = rng.integers(-1, 8, (cluster_k, d)) / draw(st.sampled_from([1, 2, 3]))
+    if draw(st.booleans()):
+        centroids[-1] = centroids[0]
+    return X, centroids
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(level=logging.INFO)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_routing_problems())
+def test_routing_matches_reference(problem):
+    X, centroids = problem
+    ds = make_ds(X, np.arange(len(X)) % 2)
+    cluster_k, folds = len(centroids), 3
+    model = clustering.KMeansModel(centroids=centroids, sse=0.0, iterations=0)
+    # The fit seed names the fold and cluster each model was trained for.
+    fit_key = {
+        derive_seed(0, "fit", LR.kind, i, c): (i, c)
+        for i in range(folds)
+        for c in range(cluster_k)
+    }
+    routed = {}
+
+    def fit(spec, sub):
+        assert sub.n > 0
+        return fit_key[spec.seed]
+
+    def predict_batch(key, rows):
+        for row in rows.tolist():
+            assert (key[0], tuple(row)) not in routed
+            routed[key[0], tuple(row)] = key[1]
+        return np.zeros(len(rows), dtype=np.int64)
+
+    records = _Records()
+    logger = logging.getLogger("droidlens.evaluate")
+    logger.addHandler(records)
+    old_level = logger.level
+    logger.setLevel(logging.INFO)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "kmeans", lambda *a, **kw: (model, None))
+            mp.setattr(evaluate, "fit", fit)
+            mp.setattr(evaluate, "predict_batch", predict_batch)
+            run_clustered_pipeline(
+                ds, [LR], cluster_k=cluster_k, k=folds, seed=0, smote=False,
+                paper_protocol=True,
+            )
+    finally:
+        logger.removeHandler(records)
+        logger.setLevel(old_level)
+
+    logged = dict(r.args for r in records.records if "rerouted" in r.msg)
+    for i, test_idx in enumerate(kfold_indices(ds.labels, k=folds, seed=0)):
+        train_X = np.delete(X, test_idx, axis=0)
+        test_X = X[test_idx]
+        live = np.unique(clustering.assign_clusters_batch(train_X, centroids))
+        gaps = test_X[:, None, :] - centroids[None, :, :]
+        d2 = (gaps * gaps).sum(axis=2)
+        best = d2[:, live].min(axis=1)
+        margin = 1e-9 * np.maximum(best, 1.0)
+        ref = _reference_route(test_X, centroids, live)
+        clear = True
+        for r, row in enumerate(test_X.tolist()):
+            c = routed.pop((i, tuple(row)))  # every test row reached a model
+            assert c in live
+            assert d2[r, c] <= best[r] + margin[r]
+            near_live = (d2[r, live] <= best[r] + margin[r]).sum()
+            near_all = (d2[r] <= d2[r].min() + margin[r]).sum()
+            if near_live == 1:
+                assert c == ref[r]
+            clear = clear and near_live == near_all == 1
+        if clear:
+            orphans = int((~np.isin(clustering.assign_clusters_batch(test_X, centroids), live)).sum())
+            assert logged.get(i, 0) == orphans
+    assert not routed
+
+
 def test_clustered_pipeline_validation():
     ds = two_blob_dataset(0, per=3)
     with pytest.raises(EvalError, match="cluster_k"):
@@ -478,9 +587,9 @@ def test_comparison_shares_one_distance_matrix(monkeypatch):
         built.append(clustering.exact_distances(Z))
         return built[-1]
 
-    def recording_silhouette(Z, assignment, dist=None):
-        scored.append((Z, assignment, dist))
-        return clustering.silhouette(Z, assignment, dist=dist)
+    def recording_silhouette(Z, labels, dist=None):
+        scored.append((Z, labels, dist))
+        return clustering.silhouette(Z, labels, dist=dist)
 
     monkeypatch.setattr(evaluate, "exact_distances", counting_distances)
     monkeypatch.setattr(evaluate, "silhouette", recording_silhouette)
@@ -490,16 +599,16 @@ def test_comparison_shares_one_distance_matrix(monkeypatch):
     assert len(built) == 1
     assert len(scored) == len(rows) == 20
     assert all(dist is built[0] for _, _, dist in scored)
-    for row, (Z, assignment, _) in zip(rows, scored):
+    for row, (Z, labels, _) in zip(rows, scored):
         try:
-            fresh = clustering.silhouette(Z, assignment)
+            fresh = clustering.silhouette(Z, labels)
         except ClusterError:
             fresh = None
         assert row.silhouette == fresh
     # The outliers are DBSCAN noise at the small eps values, where the
     # shared matrix goes through silhouette's noise filter.
     assert any(
-        r.silhouette is not None for r, (_, a, _) in zip(rows, scored) if -1 in a.labels
+        r.silhouette is not None for r, (_, a, _) in zip(rows, scored) if -1 in a
     )
 
     built.clear()
