@@ -2,9 +2,11 @@
 
 Five fitters (k-means, agglomerative, BIRCH, DBSCAN, Gaussian mixture)
 plus the Calinski-Harabasz and silhouette indices used to pick between
-them.  Every fitter returns its partition as a 1-D integer array of
-cluster ids, one per row, with -1 marking DBSCAN noise; k-means and
-the mixture return their model alongside it.  Everything is
+them.  A partition is a 1-D integer array of cluster ids, one per row,
+with -1 marking DBSCAN noise; k-means and the mixture return their
+model alongside it.  Agglomerative instead returns the ward hierarchy
+as its list of merges, and ``cut`` reads the partition at any k off
+it.  Everything is
 deterministic given (X, params, seed): ties break toward the lowest
 index, and all randomness flows through derived generator streams.
 Features are consumed raw; callers standardize beforehand if they want
@@ -243,20 +245,21 @@ def assign_clusters_batch(X, centroids: np.ndarray) -> np.ndarray:
 
 # --- agglomerative ----------------------------------------------------------
 
-def agglomerative(X, k: int) -> np.ndarray:
-    """Bottom-up ward merging from singletons.
+def agglomerative(X) -> np.ndarray:
+    """The ward hierarchy: bottom-up merging from singletons down to
+    one cluster, as an (n-1)×2 array of merged id pairs (i, j), i < j,
+    in merge order.
 
     Each round merges the pair with minimum variance increase
     (ni*nj/(ni+nj) * ||ci - cj||^2).  Among equal merge distances the
     pair with the lexicographically lowest (i, j) cluster ids wins; a
     merged cluster keeps the lower of the two ids, so a cluster's id is
-    always its lowest row.  Labels number the clusters in that order.
+    always its lowest row.  ``cut`` reads a partition off the result.
     """
     X = _as_matrix(X)
     n = X.shape[0]
-    _check_k(k, n)
 
-    owner = np.arange(n)
+    merges = np.empty((n - 1, 2), dtype=np.intp)
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
     centroids = X.copy()
@@ -266,16 +269,16 @@ def agglomerative(X, k: int) -> np.ndarray:
     # lexicographic order, which is the documented tie-break.
     D[np.tri(n, dtype=bool)] = np.inf
 
-    for _ in range(n - k):
+    for step in range(n - 1):
         flat = int(np.argmin(D))
         i, j = divmod(flat, n)
+        merges[step] = i, j
         others = np.flatnonzero(active)
         others = others[(others != i) & (others != j)]
         ni, nj = sizes[i], sizes[j]
         centroids[i] = (ni * centroids[i] + nj * centroids[j]) / (ni + nj)
         sizes[i] = ni + nj
 
-        owner[owner == j] = i
         active[j] = False
         D[j, :] = np.inf
         D[:, j] = np.inf
@@ -286,6 +289,18 @@ def agglomerative(X, k: int) -> np.ndarray:
             ).sum(axis=1)
             D[np.minimum(others, i), np.maximum(others, i)] = merged
 
+    return merges
+
+
+def cut(merges: np.ndarray, k: int) -> np.ndarray:
+    """The k-cluster partition of a hierarchy from ``agglomerative``:
+    the clusters left after its first n - k merges, numbered by their
+    first row."""
+    n = merges.shape[0] + 1
+    _check_k(k, n)
+    owner = np.arange(n)
+    for i, j in merges[: n - k]:
+        owner[owner == j] = i
     return np.unique(owner, return_inverse=True)[1]
 
 
@@ -340,7 +355,7 @@ def _nearest_entry(entries: list[_CF], x: np.ndarray) -> int:
     return best
 
 
-def _split_node(node: _CFNode, branching: int) -> tuple[_CF, _CF]:
+def _split_node(node: _CFNode) -> tuple[_CF, _CF]:
     """Split by farthest-pair seeding; each half becomes a new node
     summarized by a fresh CF entry."""
     cents = np.array([e.centroid() for e in node.entries])
@@ -381,7 +396,7 @@ def _insert_cf(node: _CFNode, point_cf: _CF, threshold: float, branching: int):
             return None
         node.entries[idx : idx + 1] = list(split)
     if len(node.entries) > branching:
-        return _split_node(node, branching)
+        return _split_node(node)
     return None
 
 
@@ -428,7 +443,7 @@ def birch(X, k: int, threshold: float = 0.05, branching: int = 50) -> np.ndarray
         )
 
     centroids = np.array([e.centroid() for e in entries])
-    grouping = agglomerative(centroids, k)
+    grouping = cut(agglomerative(centroids), k)
     final = np.zeros((k, X.shape[1]))
     np.add.at(final, grouping, np.array([e.ls for e in entries]))
     weights = np.bincount(grouping, weights=[e.n for e in entries], minlength=k)

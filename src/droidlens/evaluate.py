@@ -16,6 +16,7 @@ as a marker string, never as NaN.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 from dataclasses import dataclass, replace
@@ -27,6 +28,7 @@ from .clustering import (
     assign_clusters_batch,
     birch,
     calinski_harabasz,
+    cut,
     dbscan,
     exact_distances,
     gmm,
@@ -301,19 +303,17 @@ class ComparisonRow:
     winner: bool = False
 
 
-def _grid_labels(algorithm: str, X, param, seed: int) -> np.ndarray:
+def _grid_labels(algorithm: str, X, param, seed: int, hierarchy) -> np.ndarray:
     row_seed = derive_seed(seed, "compare", algorithm, str(param))
     if algorithm == "kmeans":
         return kmeans(X, int(param), seed=row_seed)[1]
     if algorithm == "agglomerative":
-        return agglomerative(X, int(param))
+        return cut(hierarchy(), int(param))
     if algorithm == "birch":
         return birch(X, int(param))
     if algorithm == "gmm":
         return gmm(X, int(param), seed=row_seed)[1]
-    if algorithm == "dbscan":
-        return dbscan(X, float(param))
-    raise EvalError(f"unknown clustering algorithm {algorithm!r}")
+    return dbscan(X, float(param))
 
 
 def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False):
@@ -322,7 +322,8 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
     Returns one ComparisonRow per (algorithm, parameter); the winner
     (max Calinski-Harabasz, ties broken by silhouette) is flagged.
     Undefined scores are carried as None.  Every row's silhouette reads
-    one exact distance matrix, computed when the first row needs it.
+    one exact distance matrix, computed when the first row needs it,
+    and every agglomerative row cuts one ward hierarchy.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -342,12 +343,14 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
         X = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
     rows: list[ComparisonRow] = []
     dist = None
+    # Built when the first agglomerative row needs it; a failure is not cached.
+    hierarchy = functools.cache(lambda: agglomerative(X))
     for algorithm in ALGORITHM_NAMES:
         label = "eps" if algorithm == "dbscan" else "k"
         for param in grids[algorithm]:
             parameter = f"{label} = {param:g}"
             try:
-                labels = _grid_labels(algorithm, X, param, seed)
+                labels = _grid_labels(algorithm, X, param, seed, hierarchy)
             except ClusterError as exc:
                 logger.info("%s %s failed: %s", algorithm, parameter, exc)
                 rows.append(ComparisonRow(algorithm, parameter, None, None, None))
@@ -394,84 +397,71 @@ def _classifier_display(kind: str) -> str:
     return DISPLAY_NAMES.get(kind, kind)
 
 
-def report_csv(report: EvalReport) -> str:
-    """Full-precision CSV; carries no pipeline tag so that equivalent
-    runs of either pipeline serialize identically."""
+def _fmt4(value) -> str:
+    return _fmt_fixed(value, 4)
+
+
+def _csv(header: tuple, body) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("Classifier",) + REPORT_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
-            (
-                _classifier_display(row.kind),
-                _fmt_full(row.accuracy),
-                _fmt_full(row.tpr),
-                _fmt_full(row.tnr),
-            )
-        )
+    writer.writerow(header)
+    writer.writerows(body)
     return buf.getvalue()
 
 
-def _aligned(header: tuple, body: list[tuple]) -> str:
-    table = [tuple(str(c) for c in header)] + [tuple(str(c) for c in r) for r in body]
+def _aligned(header: tuple, body) -> str:
+    table = [tuple(map(str, r)) for r in [header, *body]]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    lines = []
-    for r_i, r in enumerate(table):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        if r_i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
 
 
+REPORT_HEADER = ("Classifier",) + REPORT_COLUMNS
+
+
+def _report_cells(row: ReportRow, fmt) -> tuple:
+    return (_classifier_display(row.kind),) + tuple(map(fmt, aggregate_metrics(row.folds)))
+
+
+def report_csv(report: EvalReport) -> str:
+    """Full-precision CSV; carries no pipeline tag so that equivalent
+    runs of either pipeline serialize identically."""
+    return _csv(REPORT_HEADER, [_report_cells(row, _fmt_full) for row in report.rows])
+
+
 def report_text(report: EvalReport) -> str:
-    body = [
-        (
-            _classifier_display(row.kind),
-            _fmt_fixed(row.accuracy, 4),
-            _fmt_fixed(row.tpr, 4),
-            _fmt_fixed(row.tnr, 4),
-        )
-        for row in report.rows
-    ]
-    return _aligned(("Classifier",) + REPORT_COLUMNS, body)
+    return _aligned(REPORT_HEADER, [_report_cells(row, _fmt4) for row in report.rows])
 
 
-COMPARISON_COLUMNS = (
+COMPARISON_HEADER = (
     "Algorithm",
     "Parameter",
     "No of Clusters",
     "Calinski Harabaz Score",
     "Silhouette Score",
+    "Winner",
 )
 
 
 def _comparison_cells(row: ComparisonRow, full: bool) -> tuple:
-    fmt = _fmt_full if full else (lambda v: _fmt_fixed(v, 4))
     ch = _fmt_full(row.calinski_harabasz) if full else _fmt_fixed(row.calinski_harabasz, 2)
     return (
         ALGORITHM_NAMES.get(row.algorithm, row.algorithm),
         row.parameter,
         UNDEFINED if row.n_clusters is None else str(row.n_clusters),
         ch,
-        fmt(row.silhouette),
+        (_fmt_full if full else _fmt4)(row.silhouette),
+        "*" if row.winner else "",
     )
 
 
 def clustering_table_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COMPARISON_COLUMNS + ("Winner",))
-    for row in rows:
-        writer.writerow(_comparison_cells(row, full=True) + ("*" if row.winner else "",))
-    return buf.getvalue()
+    return _csv(COMPARISON_HEADER, [_comparison_cells(row, full=True) for row in rows])
 
 
 def clustering_table_text(rows) -> str:
-    body = [
-        _comparison_cells(row, full=False) + ("*" if row.winner else "",)
-        for row in rows
-    ]
-    return _aligned(COMPARISON_COLUMNS + ("Winner",), body)
+    return _aligned(COMPARISON_HEADER, [_comparison_cells(row, full=False) for row in rows])
 
 
 def side_by_side_markdown(plain: EvalReport, clustered: EvalReport) -> str:
@@ -490,14 +480,8 @@ def side_by_side_markdown(plain: EvalReport, clustered: EvalReport) -> str:
     ]
     for p_row, c_row in zip(plain.rows, clustered.rows):
         cells = [
-            f"{_fmt_fixed(p, 4)} / {_fmt_fixed(c, 4)}"
-            for p, c in (
-                (p_row.accuracy, c_row.accuracy),
-                (p_row.tpr, c_row.tpr),
-                (p_row.tnr, c_row.tnr),
-            )
+            f"{_fmt4(p)} / {_fmt4(c)}"
+            for p, c in zip(aggregate_metrics(p_row.folds), aggregate_metrics(c_row.folds))
         ]
-        lines.append(
-            "| " + " | ".join([_classifier_display(p_row.kind)] + cells) + " |"
-        )
+        lines.append("| " + " | ".join([_classifier_display(p_row.kind), *cells]) + " |")
     return "\n".join(lines) + "\n"

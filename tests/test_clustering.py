@@ -5,7 +5,9 @@ and share no code with the library: direct-definition Calinski-Harabasz
 and silhouette, an exhaustive merge-order explorer for ward
 agglomeration, and a neighbor-count reachability oracle for DBSCAN.
 ``_reference_dbscan`` is the stack search and per-border loop that
-``dbscan`` replaced; it shares the library's distance computation.
+``dbscan`` replaced, and ``_reference_agglomerative`` the per-k ward
+loop that ``agglomerative`` and ``cut`` replaced; both share the
+library's distance computation.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from droidlens.clustering import (
     assign_clusters_batch,
     birch,
     calinski_harabasz,
+    cut,
     dbscan,
     exact_distances,
     gmm,
@@ -105,6 +108,37 @@ def oracle_merge_outcomes(X, k):
 
     recurse([frozenset([i]) for i in range(len(X))])
     return outcomes
+
+
+def _reference_agglomerative(X, k):
+    """Ward merging from singletons until k clusters are left, with the
+    same arithmetic and lowest-(i, j) tie-break as ``agglomerative``."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    owner = np.arange(n)
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    centroids = X.copy()
+    D = 0.5 * _sq_dists(X, X)
+    D[np.tri(n, dtype=bool)] = np.inf
+    for _ in range(n - k):
+        i, j = divmod(int(np.argmin(D)), n)
+        others = np.flatnonzero(active)
+        others = others[(others != i) & (others != j)]
+        ni, nj = sizes[i], sizes[j]
+        centroids[i] = (ni * centroids[i] + nj * centroids[j]) / (ni + nj)
+        sizes[i] = ni + nj
+        owner[owner == j] = i
+        active[j] = False
+        D[j, :] = np.inf
+        D[:, j] = np.inf
+        if others.size:
+            gap = centroids[others] - centroids[i]
+            merged = (sizes[i] * sizes[others] / (sizes[i] + sizes[others])) * (
+                gap * gap
+            ).sum(axis=1)
+            D[np.minimum(others, i), np.maximum(others, i)] = merged
+    return np.unique(owner, return_inverse=True)[1]
 
 
 def oracle_dbscan_cores(X, eps, min_pts):
@@ -306,7 +340,7 @@ def test_agglomerative_worked_example():
     target = frozenset({frozenset({0, 1}), frozenset({2, 3})})
     outcomes = oracle_merge_outcomes(FOUR_POINTS.tolist(), 2)
     assert outcomes == {target}  # oracle: unique under every tie order
-    assign = agglomerative(FOUR_POINTS, 2)
+    assign = cut(agglomerative(FOUR_POINTS), 2)
     assert partition_of(assign) == target
 
 
@@ -320,7 +354,7 @@ def test_agglomerative_matches_merge_oracle():
         # Points on an integer grid give many equal merge distances.
         grid = grid_rng.integers(0, 3, X.shape).astype(float)
         for Z in (X, grid):
-            assign = agglomerative(Z, k)
+            assign = cut(agglomerative(Z), k)
             assert partition_of(assign) in oracle_merge_outcomes(Z.tolist(), k)
             assert list(dict.fromkeys(assign.tolist())) == list(range(k))  # ids by first row
 
@@ -332,22 +366,41 @@ def test_agglomerative_matches_merge_oracle():
 @settings(max_examples=30, deadline=None)
 def test_agglomerative_trivial_partitions(n, seed):
     X = np.random.default_rng(seed).normal(0, 1, (n, 2))
-    one = agglomerative(X, 1)
+    one = cut(agglomerative(X), 1)
     assert set(one.tolist()) == {0}
-    singles = agglomerative(X, n)
+    singles = cut(agglomerative(X), n)
     assert sorted(set(singles.tolist())) == list(range(n))
 
 
 def test_agglomerative_label_order_is_by_first_row():
     X = np.array([[10.0], [10.5], [0.0], [0.5]])
-    assign = agglomerative(X, 2)
+    assign = cut(agglomerative(X), 2)
     assert assign.tolist() == [0, 0, 1, 1]  # cluster 0 owns row 0
 
 
 def test_agglomerative_errors():
     X = np.zeros((3, 1))
     with pytest.raises(ClusterError):
-        agglomerative(X, 4)
+        cut(agglomerative(X), 4)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    d=st.integers(min_value=1, max_value=3),
+    grid=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=80, deadline=None)
+@example(n=1, d=1, grid=False, seed=0)
+@example(n=30, d=1, grid=True, seed=0)  # 30 points on 3 values: ties everywhere
+def test_cut_matches_per_k_reference(n, d, grid, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, (n, d)).astype(float) if grid else rng.normal(0, 3, (n, d))
+    merges = agglomerative(X)
+    assert merges.shape == (n - 1, 2)
+    assert (merges[:, 0] < merges[:, 1]).all()
+    for k in range(1, n + 1):
+        assert np.array_equal(cut(merges, k), _reference_agglomerative(X, k))
 
 
 # --- BIRCH -------------------------------------------------------------------

@@ -616,6 +616,22 @@ def test_comparison_shares_one_distance_matrix(monkeypatch):
     assert len(built) == 1
 
 
+def test_comparison_builds_one_ward_hierarchy(monkeypatch):
+    calls = []
+
+    def counting_agglomerative(*args):
+        calls.append(args)
+        return clustering.agglomerative(*args)
+
+    monkeypatch.setattr(evaluate, "agglomerative", counting_agglomerative)
+    ds = two_blob_dataset(7, per=15)
+    rows = compare_clusterings(ds.features, seed=1)
+    assert len(calls) == 1
+    agg = [r for r in rows if r.algorithm == "agglomerative"]
+    assert [r.parameter for r in agg] == ["k = 2", "k = 3", "k = 4", "k = 5"]
+    assert [r.n_clusters for r in agg] == [2, 3, 4, 5]
+
+
 def test_comparison_deterministic():
     ds = two_blob_dataset(4, per=12)
     a = compare_clusterings(ds.features, seed=5)
