@@ -11,9 +11,7 @@ renamed into place, so a failed run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -32,6 +30,7 @@ from .evaluate import (
     clustering_table_csv,
     clustering_table_text,
     compare_clusterings,
+    elbow_csv,
     report_csv,
     report_text,
     run_clustered_pipeline,
@@ -91,14 +90,12 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed out of range: {self.seed}")
-        if isinstance(self.cluster_k, bool) or not isinstance(self.cluster_k, int):
-            raise ConfigError(f"cluster_k must be an integer, got {self.cluster_k!r}")
-        if self.cluster_k < 1:
-            raise ConfigError(f"cluster_k must be >= 1, got {self.cluster_k}")
-        if isinstance(self.cv_k, bool) or not isinstance(self.cv_k, int):
-            raise ConfigError(f"cv_k must be an integer, got {self.cv_k!r}")
-        if self.cv_k < 2:
-            raise ConfigError(f"cv_k must be >= 2, got {self.cv_k}")
+        for name, minimum in (("cluster_k", 1), ("cv_k", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {value}")
         if not isinstance(self.smote, bool):
             raise ConfigError(f"smote must be true or false, got {self.smote!r}")
         if self.protocol not in PROTOCOLS:
@@ -183,6 +180,10 @@ def _atomic_write(path: Path, write_fn) -> None:
     os.close(fd)
     try:
         write_fn(Path(tmp))
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -302,12 +303,7 @@ def _cmd_elbow(args) -> int:
     out = _check_output(args.output)
     ds = read_dataset(src)
     curve = sse_curve(ds.features, args.k, seed=args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("k", "SSE"))
-    for k, sse in curve:
-        writer.writerow((k, repr(sse)))
-    _write_text(out, buf.getvalue())
+    _write_text(out, elbow_csv(curve))
     print(f"wrote elbow curve for k in {args.k} to {out}")
     return 0
 

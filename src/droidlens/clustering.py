@@ -119,10 +119,6 @@ class GmmModel:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
 
-    @property
-    def k(self) -> int:
-        return self.means.shape[0]
-
 
 # --- k-means ---------------------------------------------------------------
 

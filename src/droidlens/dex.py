@@ -27,8 +27,7 @@ reads the code units in blocks of ``_BLOCK_UNITS``, so the walk's
 memory is that of one block (well under 1 MB) whatever the method
 sizes.  On the benchmark's 16 MB corpus the ``extract`` stage runs at
 about 38 MB/s on one core of a 2-vCPU x86 VM, against 9 MB/s for the
-per-instruction loop it replaced.  ``instruction_width`` is the
-one-instruction form of the same width rules.
+per-instruction loop it replaced.
 """
 
 from __future__ import annotations
@@ -113,17 +112,6 @@ _FORMAT_RANGES = (
 )
 
 
-def _build_width_table() -> tuple[int | None, ...]:
-    widths: list[int | None] = [None] * 256
-    for lo, hi, fmt in _FORMAT_RANGES:
-        for op in range(lo, hi + 1):
-            widths[op] = int(fmt[0])
-    return tuple(widths)
-
-
-OPCODE_WIDTHS: tuple[int | None, ...] = _build_width_table()
-
-
 @dataclass(frozen=True)
 class DexHeader:
     checksum: int
@@ -183,28 +171,6 @@ class OpcodeHistogram:
     def __add__(self, other: "OpcodeHistogram") -> "OpcodeHistogram":
         merged = tuple(a + b for a, b in zip(self.counts, other.counts))
         return OpcodeHistogram(counts=merged, total=self.total + other.total)
-
-
-def read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
-    """Decode one unsigned LEB128 value.
-
-    Returns ``(value, next_offset)``.  The encoding must terminate within
-    five bytes and before the end of the buffer.
-    """
-    if offset < 0 or offset >= len(data):
-        raise DexParseError(f"uleb128 read at offset {offset} is out of bounds")
-    value = 0
-    shift = 0
-    for i in range(5):
-        pos = offset + i
-        if pos >= len(data):
-            raise DexParseError(f"uleb128 at offset {offset} runs past end of buffer")
-        byte = data[pos]
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos + 1
-        shift += 7
-    raise DexParseError(f"uleb128 at offset {offset} exceeds 5 bytes")
 
 
 def _check_magic(data: bytes) -> int:
@@ -274,43 +240,6 @@ def parse_dex(data: bytes) -> DexFile:
     return DexFile(version=version, header=header, class_data_offs=class_data_offs, data=data)
 
 
-def instruction_width(code_units, index: int) -> int:
-    """Width in 16-bit code units of the instruction at ``index``.
-
-    Payload pseudo-instructions (packed-switch, sparse-switch,
-    fill-array-data) report the width of the whole data block, computed
-    from the payload header.
-    """
-    n = len(code_units)
-    if index < 0 or index >= n:
-        raise DexParseError(f"instruction index {index} out of range")
-    unit = code_units[index]
-    opcode = unit & 0xFF
-    if opcode == 0x00 and unit in (PACKED_SWITCH_IDENT, SPARSE_SWITCH_IDENT, FILL_ARRAY_IDENT):
-        return _payload_width(code_units, index, unit)
-    width = OPCODE_WIDTHS[opcode]
-    if width is None:
-        raise DexParseError(f"unknown opcode {opcode:#04x} at code unit {index}")
-    return width
-
-
-def _payload_width(code_units, index: int, ident: int) -> int:
-    n = len(code_units)
-    if ident == PACKED_SWITCH_IDENT:
-        if index + 2 > n:
-            raise DexParseError("packed-switch payload header runs past end of code")
-        return code_units[index + 1] * 2 + 4
-    if ident == SPARSE_SWITCH_IDENT:
-        if index + 2 > n:
-            raise DexParseError("sparse-switch payload header runs past end of code")
-        return code_units[index + 1] * 4 + 2
-    if index + 4 > n:
-        raise DexParseError("fill-array-data payload header runs past end of code")
-    element_width = code_units[index + 1]
-    size = code_units[index + 2] | (code_units[index + 3] << 16)
-    return (size * element_width + 1) // 2 + 4
-
-
 # --- Whole-file vectorised walk -------------------------------------------------
 
 # Code units gathered per block of the walk.  Every array the walk holds
@@ -321,10 +250,19 @@ _BLOCK_UNITS = 1 << 14
 # pointer doubling.
 _LOCKSTEP_ROUNDS = 128
 
+
+def _unit_widths() -> np.ndarray:
+    by_opcode = np.zeros(256, dtype=np.int8)
+    for lo, hi, fmt in _FORMAT_RANGES:
+        by_opcode[lo : hi + 1] = int(fmt[0])
+    widths = np.tile(by_opcode, 256)
+    widths[[PACKED_SWITCH_IDENT, SPARSE_SWITCH_IDENT, FILL_ARRAY_IDENT]] = -1
+    return widths
+
+
 # Width of the instruction each 16-bit code unit starts, by its low
 # byte: 0 for an unused opcode, -1 for a payload identifier.
-_UNIT_WIDTHS = np.tile(np.array([w or 0 for w in OPCODE_WIDTHS], dtype=np.int8), 256)
-_UNIT_WIDTHS[[PACKED_SWITCH_IDENT, SPARSE_SWITCH_IDENT, FILL_ARRAY_IDENT]] = -1
+_UNIT_WIDTHS = _unit_widths()
 # Width given to a payload whose header runs past its code item.
 _TRUNCATED = 1 << 62
 _PAYLOAD_NAMES = {

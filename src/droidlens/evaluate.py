@@ -460,6 +460,11 @@ def clustering_table_csv(rows) -> str:
     return _csv(COMPARISON_HEADER, [_comparison_cells(row, full=True) for row in rows])
 
 
+def elbow_csv(curve) -> str:
+    """The elbow curve, one (k, SSE) row per k, SSE at full precision."""
+    return _csv(("k", "SSE"), [(k, _fmt_full(sse)) for k, sse in curve])
+
+
 def clustering_table_text(rows) -> str:
     return _aligned(COMPARISON_HEADER, [_comparison_cells(row, full=False) for row in rows])
 

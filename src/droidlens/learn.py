@@ -124,13 +124,6 @@ def _training_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 # --- SMOTE -------------------------------------------------------------------
 
 
-def interpolate(base: np.ndarray, neighbor: np.ndarray, u: float) -> np.ndarray:
-    """Point at fraction u of the way from base toward neighbor."""
-    if not 0.0 <= u < 1.0:
-        raise LearnError(f"interpolation fraction must be in [0, 1), got {u}")
-    return base + u * (neighbor - base)
-
-
 def _neighbor_table(M: np.ndarray, k: int) -> np.ndarray:
     """Each row's k nearest other rows, nearest first.  Rows are ranked
     in blocks of about 2^16 distances, so memory stays near m² floats."""
@@ -149,8 +142,8 @@ _SMOTE_NEIGHBORS = 5
 def smote_balance(ds: Dataset, seed: int = 0) -> Dataset:
     """Oversample the minority class up to the majority count.
 
-    Each synthetic is interpolate(x_i, x_nn, u) with u uniform in
-    [0, 1) and x_nn one of x_i's k nearest minority neighbors, k being
+    Each synthetic is x_i + u * (x_nn - x_i) with u uniform in [0, 1)
+    and x_nn one of x_i's k nearest minority neighbors, k being
     ``_SMOTE_NEIGHBORS`` or the minority count less one if that is
     smaller; base row, neighbor, and u all come from one seeded stream.
     Original rows are kept as-is, synthetics are appended with
@@ -180,7 +173,7 @@ def smote_balance(ds: Dataset, seed: int = 0) -> Dataset:
         i = int(rng.integers(minority_count))
         nn = int(neighbor_table[i, int(rng.integers(k))])
         u = float(rng.random())
-        synth[s] = interpolate(M[i], M[nn], u)
+        synth[s] = M[i] + u * (M[nn] - M[i])
 
     ids = ds.ids + tuple(f"smote-{minority_label}-{s:06d}" for s in range(need))
     features = np.vstack([ds.features, synth])

@@ -29,6 +29,29 @@ def encode_uleb128(value: int) -> bytes:
             return bytes(out)
 
 
+_BITS = [format(b & 0x7F, "07b") for b in range(256)]
+
+
+def oracle_uleb128(data: bytes, offset: int):
+    """Reference ULEB128 decoder.  Returns (value, next_offset), or None
+    when no terminator (a byte below 0x80) ends the value within five
+    bytes and inside the buffer.
+
+    It reassembles the value from 7-bit groups as a binary string, most
+    significant group first, and parses it with int(s, 2), so it shares
+    no code with the decoders under test.
+    """
+    groups = []
+    for i in range(5):
+        if offset + i >= len(data):
+            return None
+        byte = data[offset + i]
+        groups.append(_BITS[byte])
+        if byte < 0x80:
+            return int("".join(reversed(groups)), 2), offset + i + 1
+    return None
+
+
 def build_code_item(insns: list[int], registers: int = 2) -> bytes:
     body = struct.pack("<4HII", registers, 0, 0, 0, 0, len(insns))
     body += struct.pack(f"<{len(insns)}H", *insns)
@@ -141,6 +164,11 @@ def build_dex(
         return bytes(blob), refs
 
     return build_dex_raw(code_items, class_data, version)
+
+
+def with_class_data(blob: bytes) -> bytes:
+    """A one-class file whose class_data is ``blob``, ending the buffer."""
+    return build_dex_raw([], lambda offsets: (blob, [0]))
 
 
 def build_empty_classes(n: int) -> bytes:

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from droidlens.cli import RunConfig, load_config, main
-from droidlens.dataset import BlobSpec, read_dataset, synth_blobs, write_dataset
+from droidlens.dataset import read_dataset, write_dataset
 from droidlens.errors import ConfigError
 from droidlens.evaluate import report_csv, run_plain_pipeline
 from droidlens.learn import ClassifierSpec
@@ -19,6 +21,7 @@ from dexfactory import (
     fixture_plain,
     histogram_tuple,
 )
+from evalfactory import BlobSpec, make_ds, synth_blobs
 
 
 def make_labeled_csv(path, per=18, sigma=1.0, seed=0):
@@ -175,6 +178,14 @@ def test_elbow_curve(labeled_csv, tmp_path):
     assert ks == [1, 2, 3, 4, 5, 6]
     assert all(a >= b - 1e-9 for a, b in zip(sses, sses[1:]))
 
+    # Rows at 0, 2, 10 and 12 on one axis: every optimum is exact.
+    features = np.zeros((4, 256))
+    features[:, 0] = (0.0, 2.0, 10.0, 12.0)
+    tiny = tmp_path / "tiny.csv"
+    write_dataset(make_ds(features, [0, 1, 0, 1]), tiny)
+    assert main(["elbow", str(tiny), "--k", "1..4", "-o", str(out)]) == 0
+    assert out.read_bytes() == b"k,SSE\n1,104.0\n2,4.0\n3,2.0\n4,0.0\n"
+
 
 def test_elbow_bad_range_exits_2(labeled_csv, tmp_path, capsys):
     code = main(["elbow", str(labeled_csv), "--k", "potato", "-o", str(tmp_path / "e.csv")])
@@ -211,6 +222,18 @@ def test_eval_plain_matches_library_run(labeled_csv, tmp_path):
     )
     assert out.read_text() == want
     assert "Decision Trees" in want
+
+
+def test_eval_output_has_the_mode_of_a_plain_write(labeled_csv, tmp_path):
+    out = tmp_path / "report.csv"
+    plain = tmp_path / "plain.txt"
+    mask = os.umask(0o022)
+    try:
+        assert main(["eval", "plain", str(labeled_csv), "--cv-k", "2", "-o", str(out)]) == 0
+        plain.write_text("")
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o644
 
 
 def test_eval_reduction_identity_via_cli(labeled_csv, tmp_path):

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from droidlens.dataset import (
-    BlobSpec,
     CSV_HEADER,
     Dataset,
     ScanVerdicts,
     consensus_label,
     read_dataset,
-    synth_blobs,
     write_dataset,
 )
 from droidlens.errors import DatasetError, NoVerdictsError
+
+from evalfactory import BlobSpec, synth_blobs
 
 
 def make_ds(features, labels, ids=None):

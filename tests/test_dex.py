@@ -4,7 +4,9 @@ The width oracle below is a second, independent transcription of the
 Dalvik instruction-width tables, organized by width instead of by
 format, so a transcription slip in either copy shows up as a mismatch.
 The per-method walk that the vectorised pass replaced is kept here as
-``_reference_opcode_histogram``, the oracle for whole files.
+``_reference_opcode_histogram``, the oracle for whole files.  It decodes
+with ``dexfactory.oracle_uleb128`` and steps with the width oracle and
+the payload layouts, so it shares no decoding code with ``droidlens``.
 """
 
 import random
@@ -16,6 +18,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,12 +29,12 @@ from droidlens.dex import (
     SPARSE_SWITCH_IDENT,
     FILL_ARRAY_IDENT,
     OpcodeHistogram,
+    _TRUNCATED,
+    _UNIT_WIDTHS,
+    _payload_widths,
     extract_histogram,
-    instruction_width,
     opcode_histogram,
     parse_dex,
-    read_uleb128,
-    OPCODE_WIDTHS,
 )
 from droidlens.errors import DexParseError
 
@@ -42,6 +45,8 @@ from dexfactory import (
     encode_class_data,
     encode_uleb128,
     histogram_tuple,
+    oracle_uleb128,
+    with_class_data,
 )
 
 
@@ -77,41 +82,57 @@ def test_width_oracle_covers_all_opcodes():
 
 
 def test_width_table_matches_oracle():
-    for op in range(256):
-        assert OPCODE_WIDTHS[op] == ORACLE_WIDTH.get(op), f"opcode {op:#04x}"
+    # Every 16-bit code unit: its opcode's width, -1 for a payload ident.
+    expected = [ORACLE_WIDTH.get(unit & 0xFF, 0) for unit in range(1 << 16)]
+    for ident in (PACKED_SWITCH_IDENT, SPARSE_SWITCH_IDENT, FILL_ARRAY_IDENT):
+        expected[ident] = -1
+    assert _UNIT_WIDTHS.tolist() == expected
 
 
 def test_instruction_width_matches_oracle():
+    # Zero operand units are nops, so a walk that steps short counts
+    # them, one that steps long skips the return or overruns the item.
     for op in VALID_OPS:
-        units = [op] + [0] * 5
-        assert instruction_width(units, 0) == ORACLE_WIDTH[op], f"opcode {op:#04x}"
+        insns = [op] + [0] * (ORACLE_WIDTH[op] - 1) + [0x000E]
+        expected = [0] * 256
+        expected[op] += 1
+        expected[0x0E] += 1
+        got = extract_histogram(build_dex([[insns]])).counts
+        assert got == tuple(expected), f"opcode {op:#04x}"
     for op in sorted(ORACLE_UNUSED):
-        with pytest.raises(DexParseError):
-            instruction_width([op, 0, 0], 0)
+        with pytest.raises(DexParseError, match=f"unknown opcode {op:#04x}"):
+            extract_histogram(build_dex([[[op, 0, 0]]]))
+
+
+def _width_of_payload(units, room=None):
+    """The walk's width for the payload at ``units[0]``, with ``room``
+    code units left in its item (all of ``units`` by default)."""
+    room = len(units) if room is None else room
+    return int(_payload_widths(np.array(units, dtype="<u2"), np.array([0]), np.array([room]))[0])
 
 
 def test_payload_widths():
     # packed-switch: ident, size, first_key(2), size targets(2 each)
-    assert instruction_width([0x0100, 3, 0, 0, 0, 0, 0, 0, 0, 0], 0) == 3 * 2 + 4
-    assert instruction_width([0x0100, 0, 0, 0], 0) == 4
+    assert _width_of_payload([0x0100, 3, 0, 0, 0, 0, 0, 0, 0, 0]) == 3 * 2 + 4
+    assert _width_of_payload([0x0100, 0, 0, 0]) == 4
     # sparse-switch: ident, size, keys and targets (2 units per entry each)
-    assert instruction_width([0x0200, 2, 0, 0, 0, 0, 0, 0, 0, 0], 0) == 2 * 4 + 2
-    assert instruction_width([0x0200, 0], 0) == 2
+    assert _width_of_payload([0x0200, 2, 0, 0, 0, 0, 0, 0, 0, 0]) == 2 * 4 + 2
+    assert _width_of_payload([0x0200, 0]) == 2
     # fill-array-data: ident, element_width, size(2), ceil(bytes/2) data units
-    assert instruction_width([0x0300, 2, 3, 0, 0, 0, 0], 0) == 7
-    assert instruction_width([0x0300, 1, 5, 0, 0, 0, 0], 0) == 7
-    assert instruction_width([0x0300, 8, 1, 0, 0, 0, 0, 0], 0) == 8
-    assert instruction_width([0x0300, 4, 0, 0], 0) == 4
+    assert _width_of_payload([0x0300, 2, 3, 0, 0, 0, 0]) == 7
+    assert _width_of_payload([0x0300, 1, 5, 0, 0, 0, 0]) == 7
+    assert _width_of_payload([0x0300, 8, 1, 0, 0, 0, 0, 0]) == 8
+    assert _width_of_payload([0x0300, 4, 0, 0]) == 4
     # A nop whose high byte is not a payload ident is one unit wide.
-    assert instruction_width([0x4200], 0) == 1
-    assert instruction_width([0x0000], 0) == 1
+    assert _UNIT_WIDTHS[0x4200] == 1
+    assert _UNIT_WIDTHS[0x0000] == 1
 
 
 def test_payload_header_truncated():
-    with pytest.raises(DexParseError):
-        instruction_width([0x0100], 0)
-    with pytest.raises(DexParseError):
-        instruction_width([0x0300, 2, 1], 0)
+    assert _width_of_payload([0x0100]) == _TRUNCATED
+    assert _width_of_payload([0x0300, 2, 1]) == _TRUNCATED
+    # The header must fit in the item, not merely in the file.
+    assert _width_of_payload([0x0200, 0, 0x000E], room=1) == _TRUNCATED
 
 
 # --- Fixture files with hand-computed histograms -------------------------
@@ -261,7 +282,7 @@ def test_code_off_outside_buffer():
     # Rewrite the method's code_off uleb to point past the end.  The
     # fixture encodes it in two bytes; keep the length identical.
     off = class_data_off + 4 + 2  # sizes, method_idx_diff, access_flags
-    old, _ = read_uleb128(bytes(data), off)
+    old, _ = oracle_uleb128(bytes(data), off)
     assert old > 0x7F
     data[off] = 0xFF
     data[off + 1] = 0x7F
@@ -354,10 +375,11 @@ def test_histogram_validation():
 # --- Reference: the per-method walk ----------------------------------------
 #
 # The loop the vectorised pass replaced, kept as the oracle.  It decodes
-# each class_data item with read_uleb128 and steps each code item one
-# instruction at a time with instruction_width.  Like the vectorised pass
-# it counts each distinct code item once, and walks only the items that
-# lie between the header and the end of the buffer and overlap no other.
+# each class_data item with oracle_uleb128 and steps each code item one
+# instruction at a time with ORACLE_WIDTH and the payload layouts.  Like
+# the vectorised pass it counts each distinct code item once, and walks
+# only the items that lie between the header and the end of the buffer
+# and overlap no other.
 
 
 @dataclass(frozen=True)
@@ -378,6 +400,32 @@ def _read_code_item(data: bytes, offset: int) -> CodeItem:
     return CodeItem(registers_size=registers_size, insns_size=insns_size, insns=insns)
 
 
+def _read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
+    decoded = oracle_uleb128(data, offset)
+    if decoded is None:
+        raise DexParseError(f"uleb128 at offset {offset} does not decode")
+    return decoded
+
+
+def _instruction_width(code_units, i: int) -> int:
+    """Width of the instruction at ``code_units[i]``.  A payload's width
+    covers its whole data block, laid out as the Dalvik format spec gives it."""
+    unit, room = code_units[i], len(code_units) - i
+    header = {PACKED_SWITCH_IDENT: 2, SPARSE_SWITCH_IDENT: 2, FILL_ARRAY_IDENT: 4}.get(unit)
+    if header is not None and room < header:
+        raise DexParseError(f"payload header at code unit {i} runs past end of code")
+    if unit == PACKED_SWITCH_IDENT:  # ident, size, first_key(2), targets(2 each)
+        return 1 + 1 + 2 + 2 * code_units[i + 1]
+    if unit == SPARSE_SWITCH_IDENT:  # ident, size, keys(2 each), targets(2 each)
+        return 1 + 1 + 2 * code_units[i + 1] + 2 * code_units[i + 1]
+    if unit == FILL_ARRAY_IDENT:  # ident, element_width, size(2), data bytes
+        data_bytes = code_units[i + 1] * (code_units[i + 2] + (code_units[i + 3] << 16))
+        return 1 + 1 + 2 + -(-data_bytes // 2)
+    if unit & 0xFF not in ORACLE_WIDTH:
+        raise DexParseError(f"unknown opcode {unit & 0xFF:#04x} at code unit {i}")
+    return ORACLE_WIDTH[unit & 0xFF]
+
+
 def _walk_code_units(code_units, counts: list[int]) -> int:
     """Count one opcode per instruction; skip payload data regions."""
     n = len(code_units)
@@ -391,7 +439,7 @@ def _walk_code_units(code_units, counts: list[int]) -> int:
             SPARSE_SWITCH_IDENT,
             FILL_ARRAY_IDENT,
         )
-        width = instruction_width(code_units, i)
+        width = _instruction_width(code_units, i)
         if i + width > n:
             raise DexParseError(
                 f"instruction at code unit {i} (width {width}) overruns the stream"
@@ -408,17 +456,17 @@ def _iter_code_offsets(data: bytes, class_data_off: int):
     if class_data_off >= len(data):
         raise DexParseError(f"class_data offset {class_data_off:#x} is out of bounds")
     off = class_data_off
-    static_fields, off = read_uleb128(data, off)
-    instance_fields, off = read_uleb128(data, off)
-    direct_methods, off = read_uleb128(data, off)
-    virtual_methods, off = read_uleb128(data, off)
+    static_fields, off = _read_uleb128(data, off)
+    instance_fields, off = _read_uleb128(data, off)
+    direct_methods, off = _read_uleb128(data, off)
+    virtual_methods, off = _read_uleb128(data, off)
     for _ in range(static_fields + instance_fields):
-        _, off = read_uleb128(data, off)  # field_idx_diff
-        _, off = read_uleb128(data, off)  # access_flags
+        _, off = _read_uleb128(data, off)  # field_idx_diff
+        _, off = _read_uleb128(data, off)  # access_flags
     for _ in range(direct_methods + virtual_methods):
-        _, off = read_uleb128(data, off)  # method_idx_diff
-        _, off = read_uleb128(data, off)  # access_flags
-        code_off, off = read_uleb128(data, off)
+        _, off = _read_uleb128(data, off)  # method_idx_diff
+        _, off = _read_uleb128(data, off)  # access_flags
+        code_off, off = _read_uleb128(data, off)
         if code_off:
             yield code_off
 
@@ -703,11 +751,6 @@ def _ulebs(values: list[int]) -> bytes:
     return b"".join(encode_uleb128(v) for v in values)
 
 
-def _with_class_data(blob: bytes) -> bytes:
-    """A one-class file whose class_data is ``blob``, ending the buffer."""
-    return build_dex_raw([], lambda offsets: (blob, [0]))
-
-
 @pytest.mark.parametrize("counts", [
     [0, 0, 2**35 - 1, 0],
     [0, 0, 2**35 - 1, 2**35 - 1],
@@ -716,7 +759,7 @@ def _with_class_data(blob: bytes) -> bytes:
     [0, 0, 3, 0],
 ])
 def test_oversized_counts_rejected_before_allocation(counts):
-    data = _with_class_data(_ulebs(counts + [1, 1, 0]))
+    data = with_class_data(_ulebs(counts + [1, 1, 0]))
     assert len(data) < 300
     with pytest.raises(DexParseError, match="class_def 0: .*declares"):
         extract_histogram(data)
@@ -730,8 +773,8 @@ def test_uleb128_of_six_bytes_rejected(position):
     five = bytes([values[position] | 0x80]) + b"\x80" * 3 + b"\x00"
     six = bytes([values[position] | 0x80]) + b"\x80" * 4 + b"\x00"
     assert extract_histogram(
-        _with_class_data(b"".join(parts[:position] + [five] + parts[position + 1:]))).total == 0
-    data = _with_class_data(b"".join(parts[:position] + [six] + parts[position + 1:]))
+        with_class_data(b"".join(parts[:position] + [five] + parts[position + 1:]))).total == 0
+    data = with_class_data(b"".join(parts[:position] + [six] + parts[position + 1:]))
     with pytest.raises(DexParseError, match="class_def 0: uleb128 at offset .* exceeds 5 bytes"):
         extract_histogram(data)
     with pytest.raises(DexParseError):
@@ -739,7 +782,7 @@ def test_uleb128_of_six_bytes_rejected(position):
 
 
 def test_class_data_at_end_of_buffer_rejected():
-    data = _with_class_data(b"")
+    data = with_class_data(b"")
     assert parse_dex(data).class_data_offs[0] == len(data)
     with pytest.raises(DexParseError, match="class_def 0: class_data offset .* out of bounds"):
         extract_histogram(data)
@@ -769,7 +812,7 @@ def _layout(data: bytes):
 
         def take():
             nonlocal off
-            value, end = read_uleb128(data, off)
+            value, end = _read_uleb128(data, off)
             ulebs.append((off, end))
             off = end
             return value
@@ -782,7 +825,7 @@ def _layout(data: bytes):
             start = off
             take()
             code_offs.append((start, off))
-    items = sorted({read_uleb128(data, s)[0] for s, _ in code_offs} - {0})
+    items = sorted({_read_uleb128(data, s)[0] for s, _ in code_offs} - {0})
     units = [
         o + 16 + 2 * i
         for o in items

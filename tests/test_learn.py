@@ -29,7 +29,6 @@ from droidlens.learn import (
     ClassifierModel,
     ClassifierSpec,
     fit,
-    interpolate,
     predict_batch,
     smote_balance,
 )
@@ -233,17 +232,6 @@ def _reference_descent(X, y, kind, hp):
 
 
 # --- SMOTE --------------------------------------------------------------------
-
-
-def test_interpolate_endpoints():
-    a = np.array([1.0, 2.0])
-    b = np.array([5.0, 0.0])
-    assert np.array_equal(interpolate(a, b, 0.0), a)
-    assert np.allclose(interpolate(a, b, 0.5), [3.0, 1.0])
-    with pytest.raises(LearnError):
-        interpolate(a, b, 1.0)
-    with pytest.raises(LearnError):
-        interpolate(a, b, -0.1)
 
 
 def test_smote_worked_example():
