@@ -279,7 +279,7 @@ def _cmd_cluster_compare(args) -> int:
     return 0
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range | list[int]:
     """Accepts '4', '1..10', or '2,4,8'."""
     try:
         if ".." in text:
@@ -287,7 +287,7 @@ def _parse_k_range(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if lo < 1 or hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)  # sse_curve stops at the first k above n
         values = [int(part) for part in text.split(",")]
         if not values or any(v < 1 for v in values):
             raise ValueError
@@ -304,7 +304,7 @@ def _cmd_elbow(args) -> int:
     ds = read_dataset(src)
     curve = sse_curve(ds.features, args.k, seed=args.seed)
     _write_text(out, elbow_csv(curve))
-    print(f"wrote elbow curve for k in {args.k} to {out}")
+    print(f"wrote elbow curve for k in {[k for k, _ in curve]} to {out}")
     return 0
 
 
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("elbow", help="k-means SSE curve for the elbow method")
     p.add_argument("dataset")
-    p.add_argument("--k", type=_parse_k_range, default=list(range(1, 11)),
+    p.add_argument("--k", type=_parse_k_range, default=range(1, 11),
                    help="K, LO..HI, or comma list (default 1..10)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", required=True)

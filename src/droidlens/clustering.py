@@ -41,13 +41,21 @@ def _check_k(k: int, n: int) -> None:
         raise ClusterError(f"k must satisfy 1 <= k <= n, got k={k} with n={n}")
 
 
-def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """n×k squared Euclidean distances, clipped at 0 against roundoff."""
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * X @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
+def _row_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of ``_sq_dists`` that depend on X alone: its squared
+    row norms as a column, and 2X."""
+    return np.sum(X * X, axis=1)[:, None], 2.0 * X
+
+
+def _sq_dists(X: np.ndarray, centroids: np.ndarray, row_terms=None) -> np.ndarray:
+    """n×k squared Euclidean distances, clipped at 0 against roundoff.
+
+    ``row_terms`` may carry ``_row_terms(X)``, so that callers measuring
+    one X against many centroid sets compute it once; the arithmetic is
+    the same either way.
+    """
+    sq_norms, twice = _row_terms(X) if row_terms is None else row_terms
+    d2 = sq_norms - twice @ centroids.T + np.sum(centroids * centroids, axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
@@ -123,10 +131,12 @@ class GmmModel:
 # --- k-means ---------------------------------------------------------------
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    X: np.ndarray, k: int, rng: np.random.Generator, row_terms
+) -> np.ndarray:
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(X, X[chosen])[:, 0]
+    d2 = _sq_dists(X, X[chosen], row_terms)[:, 0]
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
@@ -134,7 +144,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dists(X, X[[idx]])[:, 0])
+        d2 = np.minimum(d2, _sq_dists(X, X[[idx]], row_terms)[:, 0])
     return X[chosen].copy()
 
 
@@ -165,19 +175,21 @@ def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, np.ndarray]:
 
     Nearest-centroid ties go to the lowest centroid index.  SSE is
     checked non-increasing on every iteration; a violation is a bug,
-    not a data condition, and raises.
+    not a data condition, and raises.  X's row norms and 2X are
+    computed once per call and shared by every distance pass.
     """
     X = _as_matrix(X)
     n = X.shape[0]
     _check_k(k, n)
     rng = derive_rng(seed, "kmeans++")
-    centroids = _kmeanspp_init(X, k, rng)
+    row_terms = _row_terms(X)
+    centroids = _kmeanspp_init(X, k, rng, row_terms)
 
     prev_sse = math.inf
     iterations = 0
 
     def assign(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        d2 = _sq_dists(X, c)
+        d2 = _sq_dists(X, c, row_terms)
         labels = np.argmin(d2, axis=1)
         dmin = d2[np.arange(n), labels]
         return labels, dmin, float(dmin.sum())
@@ -211,13 +223,18 @@ def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, np.ndarray]:
 
 
 def sse_curve(X, k_range, seed: int) -> list[tuple[int, float]]:
-    """Best-of-restarts SSE per k, the elbow-method curve."""
+    """Best-of-restarts SSE per k, the elbow-method curve.
+
+    Each k is checked as ``k_range`` is read, so a long range fails at
+    its first k above the row count instead of being listed whole.
+    """
     X = _as_matrix(X)
-    ks = [int(k) for k in k_range]
+    ks = []
+    for k in map(int, k_range):
+        _check_k(k, X.shape[0])
+        ks.append(k)
     if not ks:
         raise ClusterError("k_range is empty")
-    for k in ks:
-        _check_k(k, X.shape[0])
     curve = []
     for k in ks:
         best = math.inf
@@ -405,16 +422,27 @@ def _leaf_entries(node: _CFNode) -> list[_CF]:
     return out
 
 
-def birch(X, k: int, threshold: float = 0.05, branching: int = 50) -> np.ndarray:
-    """Single-pass CF-tree condensation, then ward over leaf entries.
+@dataclass(frozen=True)
+class BirchTree:
+    """The part of BIRCH that does not depend on k: the CF tree's leaf
+    entries, as linear sums and point counts, and the ward hierarchy
+    of their centroids.  ``birch_cut`` reads the partition at any k."""
+
+    X: np.ndarray
+    leaf_sums: np.ndarray
+    leaf_counts: np.ndarray
+    merges: np.ndarray
+
+
+def birch(X, threshold: float = 0.05, branching: int = 50) -> BirchTree:
+    """Single-pass CF-tree condensation, then the ward hierarchy over
+    the leaf entries.
 
     ``threshold`` is a fraction of the data radius (max distance to the
     global centroid), so one setting works across raw count scales.
     The absolute radius bound is threshold * radius.
     """
     X = _as_matrix(X)
-    n = X.shape[0]
-    _check_k(k, n)
     if threshold <= 0:
         raise ClusterError(f"threshold must be positive, got {threshold}")
     if branching < 2:
@@ -432,17 +460,32 @@ def birch(X, k: int, threshold: float = 0.05, branching: int = 50) -> np.ndarray
             root = new_root
 
     entries = _leaf_entries(root)
-    if k > len(entries):
+    centroids = np.array([e.centroid() for e in entries])
+    return BirchTree(
+        X=X,
+        leaf_sums=np.array([e.ls for e in entries]),
+        leaf_counts=np.array([e.n for e in entries]),
+        merges=agglomerative(centroids),
+    )
+
+
+def birch_cut(tree: BirchTree, k: int) -> np.ndarray:
+    """The k-cluster BIRCH partition: cut the leaf hierarchy at k, then
+    give each row the nearest of the k cluster centroids.  Clusters are
+    numbered by their first row."""
+    X = tree.X
+    _check_k(k, X.shape[0])
+    leaves = tree.leaf_counts.size
+    if k > leaves:
         raise ClusterError(
-            f"k={k} exceeds the {len(entries)} leaf entries the CF tree produced; "
+            f"k={k} exceeds the {leaves} leaf entries the CF tree produced; "
             "lower k or the threshold"
         )
 
-    centroids = np.array([e.centroid() for e in entries])
-    grouping = cut(agglomerative(centroids), k)
+    grouping = cut(tree.merges, k)
     final = np.zeros((k, X.shape[1]))
-    np.add.at(final, grouping, np.array([e.ls for e in entries]))
-    weights = np.bincount(grouping, weights=[e.n for e in entries], minlength=k)
+    np.add.at(final, grouping, tree.leaf_sums)
+    weights = np.bincount(grouping, weights=tree.leaf_counts, minlength=k)
     final /= weights[:, None]
 
     raw = assign_clusters_batch(X, final)

@@ -27,6 +27,7 @@ from .clustering import (
     agglomerative,
     assign_clusters_batch,
     birch,
+    birch_cut,
     calinski_harabasz,
     cut,
     dbscan,
@@ -303,14 +304,14 @@ class ComparisonRow:
     winner: bool = False
 
 
-def _grid_labels(algorithm: str, X, param, seed: int, hierarchy) -> np.ndarray:
+def _grid_labels(algorithm: str, X, param, seed: int, hierarchy, tree) -> np.ndarray:
     row_seed = derive_seed(seed, "compare", algorithm, str(param))
     if algorithm == "kmeans":
         return kmeans(X, int(param), seed=row_seed)[1]
     if algorithm == "agglomerative":
         return cut(hierarchy(), int(param))
     if algorithm == "birch":
-        return birch(X, int(param))
+        return birch_cut(tree(), int(param))
     if algorithm == "gmm":
         return gmm(X, int(param), seed=row_seed)[1]
     return dbscan(X, float(param))
@@ -322,8 +323,9 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
     Returns one ComparisonRow per (algorithm, parameter); the winner
     (max Calinski-Harabasz, ties broken by silhouette) is flagged.
     Undefined scores are carried as None.  Every row's silhouette reads
-    one exact distance matrix, computed when the first row needs it,
-    and every agglomerative row cuts one ward hierarchy.
+    one exact distance matrix, computed when the first row needs it;
+    every agglomerative row cuts one ward hierarchy, and every BIRCH
+    row one CF tree.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -343,14 +345,15 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
         X = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
     rows: list[ComparisonRow] = []
     dist = None
-    # Built when the first agglomerative row needs it; a failure is not cached.
+    # Each built when the first row needing it runs; a failure is not cached.
     hierarchy = functools.cache(lambda: agglomerative(X))
+    tree = functools.cache(lambda: birch(X))
     for algorithm in ALGORITHM_NAMES:
         label = "eps" if algorithm == "dbscan" else "k"
         for param in grids[algorithm]:
             parameter = f"{label} = {param:g}"
             try:
-                labels = _grid_labels(algorithm, X, param, seed, hierarchy)
+                labels = _grid_labels(algorithm, X, param, seed, hierarchy, tree)
             except ClusterError as exc:
                 logger.info("%s %s failed: %s", algorithm, parameter, exc)
                 rows.append(ComparisonRow(algorithm, parameter, None, None, None))

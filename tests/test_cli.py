@@ -193,6 +193,17 @@ def test_elbow_bad_range_exits_2(labeled_csv, tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_elbow_huge_range_exits_1(labeled_csv, tmp_path, capsys):
+    # The range is checked against the row count as it is read, never
+    # listed whole: listing 10**18 ks raised MemoryError.
+    out = tmp_path / "e.csv"
+    code = main(["elbow", str(labeled_csv), "--k", f"1..{10**18}", "-o", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("droidlens: error:") and "1 <= k <= n" in err
+    assert not out.exists()
+
+
 def test_elbow_comma_list(labeled_csv, tmp_path):
     out = tmp_path / "elbow.csv"
     assert main(["elbow", str(labeled_csv), "--k", "2,4", "-o", str(out)]) == 0

@@ -5,9 +5,11 @@ and share no code with the library: direct-definition Calinski-Harabasz
 and silhouette, an exhaustive merge-order explorer for ward
 agglomeration, and a neighbor-count reachability oracle for DBSCAN.
 ``_reference_dbscan`` is the stack search and per-border loop that
-``dbscan`` replaced, and ``_reference_agglomerative`` the per-k ward
-loop that ``agglomerative`` and ``cut`` replaced; both share the
-library's distance computation.
+``dbscan`` replaced, ``_reference_agglomerative`` the per-k ward
+loop that ``agglomerative`` and ``cut`` replaced, ``_reference_kmeans``
+the Lloyd loop that recomputed X's row norms on every distance pass,
+and ``_reference_birch`` the per-k BIRCH that ``birch`` and
+``birch_cut`` replaced; all share the library's distance computation.
 """
 
 import itertools
@@ -18,11 +20,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from droidlens import clustering
 from droidlens.clustering import (
+    _CF,
+    _CFNode,
+    _insert_cf,
+    _leaf_entries,
+    _repair_empty,
     _sq_dists,
     agglomerative,
     assign_clusters_batch,
     birch,
+    birch_cut,
     calinski_harabasz,
     cut,
     dbscan,
@@ -33,6 +42,7 @@ from droidlens.clustering import (
     sse_curve,
 )
 from droidlens.errors import ClusterError
+from droidlens.rng import derive_rng
 
 # --- Oracles (definitions transcribed independently) ----------------------
 
@@ -139,6 +149,91 @@ def _reference_agglomerative(X, k):
             ).sum(axis=1)
             D[np.minimum(others, i), np.maximum(others, i)] = merged
     return np.unique(owner, return_inverse=True)[1]
+
+
+def _reference_kmeans(X, k, seed):
+    """k-means with every distance pass computing X's row norms afresh
+    through ``_sq_dists``: the loop ``kmeans`` replaced, returning
+    (centroids, labels, sse, iterations)."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    rng = derive_rng(seed, "kmeans++")
+    chosen = [int(rng.integers(n))]
+    d2 = _sq_dists(X, X[chosen])[:, 0]
+    while len(chosen) < k:
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        d2 = np.minimum(d2, _sq_dists(X, X[[idx]])[:, 0])
+    centroids = X[chosen].copy()
+
+    def assign(c):
+        d2 = _sq_dists(X, c)
+        labels = np.argmin(d2, axis=1)
+        dmin = d2[np.arange(n), labels]
+        return labels, dmin, float(dmin.sum())
+
+    iterations = 0
+    for _ in range(clustering._KMEANS_MAX_ITER):
+        labels, dmin, _ = assign(centroids)
+        new_centroids = centroids.copy()
+        for cid in range(k):
+            members = labels == cid
+            if members.any():
+                new_centroids[cid] = X[members].mean(axis=0)
+        new_centroids = _repair_empty(X, labels, dmin, new_centroids)
+        iterations += 1
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < clustering._KMEANS_TOL:
+            break
+    labels, _, sse = assign(centroids)
+    return centroids, labels, sse, iterations
+
+
+def _reference_birch(X, k, threshold=0.05, branching=50):
+    """BIRCH rebuilding its CF tree and leaf hierarchy for one k: the
+    function ``birch`` and ``birch_cut`` replaced."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    clustering._check_k(k, n)
+    radius = float(np.sqrt(_sq_dists(X, X.mean(axis=0)[None, :])).max())
+    root = _CFNode(leaf=True)
+    for row in X:
+        split = _insert_cf(root, _CF.of_point(row), threshold * radius, branching)
+        if split is not None:
+            root = _CFNode(leaf=False)
+            root.entries = list(split)
+    entries = _leaf_entries(root)
+    if k > len(entries):
+        raise ClusterError(
+            f"k={k} exceeds the {len(entries)} leaf entries the CF tree produced; "
+            "lower k or the threshold"
+        )
+    centroids = np.array([e.centroid() for e in entries])
+    grouping = cut(agglomerative(centroids), k)
+    final = np.zeros((k, X.shape[1]))
+    np.add.at(final, grouping, np.array([e.ls for e in entries]))
+    weights = np.bincount(grouping, weights=[e.n for e in entries], minlength=k)
+    final /= weights[:, None]
+    raw = assign_clusters_batch(X, final)
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def _drawn_matrix(kind, n, d, seed):
+    """Normal data, a 3-value integer grid full of ties, or normal rows
+    each repeated: the shapes the reference properties draw from."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        return rng.integers(0, 3, (n, d)).astype(float)
+    if kind == "duplicates":
+        distinct = rng.normal(0, 3, (max(1, n // 3), d))
+        return distinct[rng.integers(0, distinct.shape[0], n)]
+    return rng.normal(0, 3, (n, d))
 
 
 def oracle_dbscan_cores(X, eps, min_pts):
@@ -294,6 +389,27 @@ def test_kmeans_postconditions_fuzz(n, d, k, seed):
     assert np.all(d2[np.arange(n), labels] <= d2.min(axis=1) + 1e-12)
 
 
+@given(
+    kind=st.sampled_from(["normal", "grid", "duplicates"]),
+    n=st.integers(min_value=1, max_value=30),
+    d=st.integers(min_value=1, max_value=4),
+    k_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=120, deadline=None)
+@example(kind="grid", n=30, d=1, k_frac=0.2, seed=0)  # 30 rows on 3 values
+@example(kind="duplicates", n=12, d=2, k_frac=1.0, seed=1)  # k = n over 4 rows
+def test_kmeans_matches_reference(kind, n, d, k_frac, seed):
+    X = _drawn_matrix(kind, n, d, seed)
+    k = 1 + int(k_frac * (n - 1))
+    model, labels = kmeans(X, k, seed=seed)
+    centroids, ref_labels, sse, iterations = _reference_kmeans(X, k, seed)
+    assert np.array_equal(model.centroids, centroids)
+    assert np.array_equal(labels, ref_labels)
+    assert model.sse == sse
+    assert model.iterations == iterations
+
+
 def test_kmeans_errors():
     X = np.zeros((3, 2))
     with pytest.raises(ClusterError):
@@ -407,29 +523,30 @@ def test_cut_matches_per_k_reference(n, d, grid, seed):
 
 
 def test_birch_worked_example():
-    assign = birch(FOUR_POINTS, 2, threshold=0.6)
+    assign = birch_cut(birch(FOUR_POINTS, threshold=0.6), 2)
     assert partition_of(assign) == frozenset({frozenset({0, 1}), frozenset({2, 3})})
 
 
 def test_birch_single_cluster_with_huge_threshold():
-    assign = birch(FOUR_POINTS, 1, threshold=10.0)
+    assign = birch_cut(birch(FOUR_POINTS, threshold=10.0), 1)
     assert assign.tolist() == [0, 0, 0, 0]
 
 
 def test_birch_singletons_with_tiny_threshold():
-    assign = birch(FOUR_POINTS, 4, threshold=1e-6)
+    assign = birch_cut(birch(FOUR_POINTS, threshold=1e-6), 4)
     assert sorted(set(assign.tolist())) == [0, 1, 2, 3]
 
 
 def test_birch_k_exceeds_entries():
     X = np.vstack([np.tile([0.0], (5, 1)), np.tile([50.0], (5, 1))])
+    tree = birch(X, threshold=0.9)  # big radius: only 2 entries survive
     with pytest.raises(ClusterError, match="leaf entries"):
-        birch(X, 3, threshold=0.9)  # big radius: only 2 entries survive
+        birch_cut(tree, 3)
 
 
 def test_birch_blobs_with_node_splits():
     X = two_blob_matrix(21, per=100)
-    labels = birch(X, 2, threshold=0.01, branching=4)  # force many splits
+    labels = birch_cut(birch(X, threshold=0.01, branching=4), 2)  # force many splits
     assert len(set(labels[:100])) == 1
     assert len(set(labels[100:])) == 1
     assert labels[0] != labels[100]
@@ -437,7 +554,7 @@ def test_birch_blobs_with_node_splits():
 
 def test_birch_default_threshold_separates_blobs():
     X = two_blob_matrix(8)
-    labels = birch(X, 2)
+    labels = birch_cut(birch(X), 2)
     assert len(set(labels[:30])) == 1 and labels[0] != labels[30]
 
 
@@ -454,18 +571,46 @@ def test_birch_label_order_is_by_first_row(n, d, k, threshold, grid, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 3, (n, d)).astype(float) if grid else rng.normal(0, 3, (n, d))
     try:
-        assign = birch(X, min(k, n), threshold=threshold, branching=3)
+        assign = birch_cut(birch(X, threshold=threshold, branching=3), min(k, n))
     except ClusterError as exc:
         assert "leaf entries" in str(exc)
         return
     assert list(dict.fromkeys(assign.tolist())) == list(range(assign.max() + 1))
 
 
+@given(
+    kind=st.sampled_from(["normal", "grid", "duplicates"]),
+    n=st.integers(min_value=1, max_value=30),
+    d=st.integers(min_value=1, max_value=3),
+    threshold=st.sampled_from([1e-6, 0.05, 0.3]),
+    branching=st.sampled_from([3, 50]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=80, deadline=None)
+@example(kind="normal", n=30, d=2, threshold=1e-6, branching=3, seed=0)  # node splits
+def test_birch_cut_matches_per_k_reference(kind, n, d, threshold, branching, seed):
+    X = _drawn_matrix(kind, n, d, seed)
+    tree = birch(X, threshold=threshold, branching=branching)
+    for k in range(1, n + 2):
+        try:
+            expected = _reference_birch(X, k, threshold, branching)
+        except ClusterError as exc:
+            with pytest.raises(ClusterError) as got:
+                birch_cut(tree, k)
+            assert str(got.value) == str(exc)
+            continue
+        assert np.array_equal(birch_cut(tree, k), expected)
+
+
 def test_birch_errors():
     with pytest.raises(ClusterError):
-        birch(FOUR_POINTS, 2, threshold=0.0)
+        birch(FOUR_POINTS, threshold=0.0)
     with pytest.raises(ClusterError):
-        birch(FOUR_POINTS, 2, threshold=0.5, branching=1)
+        birch(FOUR_POINTS, threshold=0.5, branching=1)
+    tree = birch(FOUR_POINTS, threshold=1e-6)
+    for k in (0, 5):
+        with pytest.raises(ClusterError, match="1 <= k <= n"):
+            birch_cut(tree, k)
 
 
 # --- DBSCAN ------------------------------------------------------------------

@@ -632,6 +632,22 @@ def test_comparison_builds_one_ward_hierarchy(monkeypatch):
     assert [r.n_clusters for r in agg] == [2, 3, 4, 5]
 
 
+def test_comparison_builds_one_birch_tree(monkeypatch):
+    calls = []
+
+    def counting_birch(*args):
+        calls.append(args)
+        return clustering.birch(*args)
+
+    monkeypatch.setattr(evaluate, "birch", counting_birch)
+    ds = two_blob_dataset(7, per=15)
+    rows = compare_clusterings(ds.features, seed=1)
+    assert len(calls) == 1
+    tree = [r for r in rows if r.algorithm == "birch"]
+    assert [r.parameter for r in tree] == ["k = 2", "k = 3", "k = 4", "k = 5"]
+    assert [r.n_clusters for r in tree] == [2, 3, 4, 5]
+
+
 def test_comparison_deterministic():
     ds = two_blob_dataset(4, per=12)
     a = compare_clusterings(ds.features, seed=5)
