@@ -62,7 +62,7 @@ def _sq_dists(X: np.ndarray, centroids: np.ndarray, row_terms=None) -> np.ndarra
 _TILE_ELEMENTS = 1 << 16
 
 
-def exact_distances(X: np.ndarray, *, tile: int | None = None) -> np.ndarray:
+def exact_distances(X: np.ndarray) -> np.ndarray:
     """n×n Euclidean distances by direct differences.
 
     Slower than the expanded form but free of its cancellation error;
@@ -72,14 +72,13 @@ def exact_distances(X: np.ndarray, *, tile: int | None = None) -> np.ndarray:
     The matrix is filled in tile×tile blocks on or above the diagonal,
     each mirrored into the lower triangle; (x-y)^2 == (y-x)^2 exactly,
     so the result is symmetric bit for bit with a zero diagonal.  The
-    default tile keeps one tile×tile×d difference block near 2^16
+    tile keeps one tile×tile×d difference block near ``_TILE_ELEMENTS``
     floats, so memory is the n^2 output plus one cache-sized block.
     Every entry reduces its d squared gaps in the same order whatever
     the tile, so entries do not depend on it.
     """
     n, d = X.shape
-    if tile is None:
-        tile = max(1, math.isqrt(_TILE_ELEMENTS // max(d, 1)))
+    tile = max(1, math.isqrt(_TILE_ELEMENTS // max(d, 1)))
     out = np.empty((n, n))
     for r0 in range(0, n, tile):
         rows = X[r0 : r0 + tile, None, :]

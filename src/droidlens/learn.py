@@ -112,12 +112,16 @@ class ClassifierModel:
     constant: int | None = None
 
 
+def _check_finite(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        raise LearnError("features contain NaN or infinity")
+
+
 def _training_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     if ds.n == 0:
         raise LearnError("cannot fit on an empty dataset")
     X = np.asarray(ds.features, dtype=np.float64)
-    if not np.isfinite(X).all():
-        raise LearnError("features contain NaN or infinity")
+    _check_finite(X)
     return X, np.asarray(ds.labels, dtype=np.int64)
 
 
@@ -215,6 +219,41 @@ def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return -(vecs[:, keep] @ ((vecs[:, keep].T @ grad) / vals[keep]))
 
 
+def _row_space_direction(Z: np.ndarray, h: np.ndarray, lam: float, grad: np.ndarray):
+    """The bordered Newton direction for n < d rows through one n×n
+    solve, or None where ``_newton_direction``'s Cholesky gate could
+    fail.
+
+    With S = √(h/n)·Z the weight block is A = SᵀS + 2·l2·I, and
+    A⁻¹v = (v − Sᵀ·K⁻¹·S·v) / (2·l2) with K = SSᵀ + 2·l2·I_n (Woodbury).
+    The bias is eliminated through its Schur complement
+    s = Σh/n − cᵀA⁻¹c, where c = Zᵀh/n = Sᵀr for r = √(h/n), so
+    A⁻¹c = Sᵀ·K⁻¹·r and s = 2·l2·rᵀK⁻¹r, free of the cancellation
+    the difference would suffer.  One solve with K takes both S·g_w
+    and r.  Every Cholesky pivot² of A is at least 2·l2 and the
+    bordered matrix's last one is s, so requiring both above ``_FLAT``
+    of the largest diagonal entry keeps the gate's meaning; where it
+    declines, the caller builds the bordered matrix.
+    """
+    n, d = Z.shape
+    r = np.sqrt(h / n)
+    S = Z * r[:, None]
+    ridge = 2.0 * lam
+    flat = _FLAT * max(ridge + float(np.einsum("ij,ij->j", S, S).max()), float(h.sum()) / n)
+    if not ridge > flat:
+        return None
+    K = S @ S.T
+    K.flat[:: n + 1] += ridge
+    gw = grad[:d]
+    a, e = np.linalg.solve(K, np.column_stack([S @ gw, r])).T  # K⁻¹·S·g_w, K⁻¹·r
+    schur = ridge * float(r @ e)
+    if not schur > flat:
+        return None
+    p_bias = (float(r @ a) - float(grad[d])) / schur  # (cᵀA⁻¹g_w − g_b) / s
+    # −A⁻¹g_w − p_bias·A⁻¹c
+    return np.append((S.T @ (a - ridge * p_bias * e) - gw) / ridge, p_bias)
+
+
 def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
     """Minimise mean(loss(z)) + l2·‖w‖², z = Zw + b over standardized X,
     by Newton's method with Armijo backtracking.
@@ -222,6 +261,9 @@ def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
     ``row_terms(z)`` gives each row's loss and its first and second
     derivatives in z.  The Hessian is Zᵀ·diag(h)·Z/n + 2·l2·I with the
     bias as a bordered last row and column, so no [Z | 1] copy is made.
+    With fewer rows than features and l2 > 0 the direction comes from
+    an n×n system instead (``_row_space_direction``), and the
+    (d+1)×(d+1) matrix is built only where that declines.
     Each iteration tries the steps 1, 1/2, 1/4, ... along the Newton
     direction and takes the first that gains ``_ARMIJO`` of the decrease
     the gradient predicts.  It stops when the gradient norm falls below
@@ -243,22 +285,26 @@ def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
     current, g, h = objective(w, b)
     curve = [current]
     grad = np.empty(d + 1)
-    H = np.empty((d + 1, d + 1))
+    H = None
     block = max(1, (1 << 14) // max(d, 1))  # rows per Gram update: 128 kB
     for _ in range(int(hp["max_iter"])):
         grad[:d] = Z.T @ g / n + 2.0 * lam * w
         grad[d] = float(g.sum()) / n
         if math.sqrt(float(grad @ grad)) < hp["grad_tol"]:
             break
-        H[:d, :d] = 0.0
-        np.fill_diagonal(H[:d, :d], 2.0 * lam)
-        root_h = np.sqrt(h / n)
-        for r0 in range(0, n, block):
-            S = Z[r0 : r0 + block] * root_h[r0 : r0 + block, None]
-            H[:d, :d] += S.T @ S  # a symmetric rank-k product
-        H[:d, d] = H[d, :d] = Z.T @ h / n
-        H[d, d] = float(h.sum()) / n
-        p = _newton_direction(H, grad)
+        p = _row_space_direction(Z, h, lam, grad) if n < d and lam > 0 else None
+        if p is None:
+            if H is None:
+                H = np.empty((d + 1, d + 1))
+            H[:d, :d] = 0.0
+            np.fill_diagonal(H[:d, :d], 2.0 * lam)
+            root_h = np.sqrt(h / n)
+            for r0 in range(0, n, block):
+                S = Z[r0 : r0 + block] * root_h[r0 : r0 + block, None]
+                H[:d, :d] += S.T @ S  # a symmetric rank-k product
+            H[:d, d] = H[d, :d] = Z.T @ h / n
+            H[d, d] = float(h.sum()) / n
+            p = _newton_direction(H, grad)
         predicted = float(grad @ p)
         t = 1.0
         while t > 1e-12:
@@ -652,6 +698,7 @@ def predict_batch(model: ClassifierModel, X) -> np.ndarray:
         raise LearnError(
             f"matrix has {X.shape[1]} features, model was fit on {model.params['dim']}"
         )
+    _check_finite(X)
     if model.constant is not None:
         return np.full(X.shape[0], model.constant, dtype=np.int64)
     if model.kind in ("logistic_regression", "linear_svm"):

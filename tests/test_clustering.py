@@ -15,6 +15,7 @@ and ``_reference_birch`` the per-k BIRCH that ``birch`` and
 import itertools
 import math
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -940,15 +941,17 @@ def _distance_problems(draw):
         # Near-coincident rows: where the expanded form cancels badly.
         twins = rng.integers(0, n, size=n // 2 + 1)
         X[twins] = X[0] + rng.choice([-1e-9, 0.0, 1e-9], size=(twins.size, d))
+    # A small tile (its tile²·d element budget) or the default one.
     tile = draw(st.one_of(st.none(), st.integers(1, 9)))
-    return X, tile
+    return X, clustering._TILE_ELEMENTS if tile is None else tile * tile * d
 
 
 @settings(max_examples=150, deadline=None)
 @given(_distance_problems())
 def test_exact_distances_match_reference_bit_for_bit(problem):
-    X, tile = problem
-    got = exact_distances(X, tile=tile)
+    X, budget = problem
+    with mock.patch.object(clustering, "_TILE_ELEMENTS", budget):
+        got = exact_distances(X)
     assert np.array_equal(got, _reference_exact_dists(X))
     assert np.array_equal(got, got.T)
     assert not got.diagonal().any()

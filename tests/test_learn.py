@@ -8,7 +8,8 @@ one-feature-at-a-time split search, per-row tree descent, and SMOTE's
 m×m×d neighbour table.  The linear models are held
 to their optimum instead: the gradient at the returned point, the
 halving-step descent they ran before, and the optimum found by Newton's
-method in 50-digit decimal arithmetic.
+method in 50-digit decimal arithmetic.  The n×n Newton direction taken
+when rows are fewer than features is held to the bordered solve.
 """
 
 import decimal
@@ -619,15 +620,86 @@ def _poisson_counts(seed, n, d):
 def test_newton_reaches_grad_tol_in_few_iterations(kind, blobs_most, counts_most):
     # Near the optimum Newton's method converges quadratically (4 and
     # 1-2 iterations on the blobs, 11 and 28 on the counts).  A wrong
-    # Hessian converges linearly at best and needs far more.
+    # Hessian converges linearly at best and needs far more.  The wide
+    # bounds are the iterations the bordered solve took on that input.
     spec = ClassifierSpec(kind=kind)
     hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
     cases = [(noisy_blob_dataset(seed), blobs_most) for seed in range(3)]
     cases.append((_poisson_counts(7, 300, 64), counts_most))  # two Gram row blocks
+    wide_most = {"logistic_regression": 12, "linear_svm": 2}[kind]
+    cases.append((_poisson_counts(7, 38, 256), wide_most))  # a triage fold: n < d
     for ds, most in cases:
         p = fit(spec, ds).params
         assert _check_linear_fit(kind, ds.features, ds.labels, hp, p) < hp["grad_tol"]
         assert len(p["loss_curve"]) - 1 <= most
+
+
+def _bordered_hessian(Z, h, lam):
+    """Zᵀ·diag(h)·Z/n + 2·l2·I, bordered by the unpenalised bias."""
+    n, d = Z.shape
+    H = np.empty((d + 1, d + 1))
+    H[:d, :d] = Z.T @ (Z * (h / n)[:, None]) + 2.0 * lam * np.eye(d)
+    H[:d, d] = H[d, :d] = Z.T @ h / n
+    H[d, d] = h.sum() / n
+    return H
+
+
+@st.composite
+def wide_newton_problems(draw):
+    """Fewer rows than features, with LR curvatures σ(z)(1 − σ(z)),
+    SVM curvatures of 0 or 2 with some rows outside the margin, or
+    none at all (no SVM row inside the margin)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(n + 1, 64))
+    lam = draw(st.sampled_from([1e-4, 1e-1]))
+    Z = rng.normal(0.0, 1.0, (n, d))
+    curvature = draw(st.sampled_from(["logistic", "svm", "flat"]))
+    if curvature == "logistic":
+        sigma = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, n)))
+        h = sigma * (1.0 - sigma)
+    elif curvature == "svm":
+        h = 2.0 * (rng.random(n) < 0.6)
+        h[rng.integers(n)] = 0.0
+    else:
+        h = np.zeros(n)
+    return Z, h, lam, rng.normal(0.0, 1.0, d + 1)
+
+
+@given(problem=wide_newton_problems())
+@settings(max_examples=300, deadline=None)
+def test_row_space_direction_equals_bordered_direction(problem):
+    Z, h, lam, grad = problem
+    want = learn._newton_direction(_bordered_hessian(Z, h, lam), grad)
+    got = learn._row_space_direction(Z, h, lam, grad)
+    if not h.any():
+        # The bias has no curvature: the bordered solve's least-norm
+        # step is the only defined one, so the n×n path must decline.
+        assert got is None and np.all(np.isfinite(want))
+        return
+    # Both solve a system whose condition number stays below about
+    # 1e8 here, so each direction carries a relative error near 1e-8
+    # at worst (about 1e-10 in practice).
+    assert got is not None
+    assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+def test_wide_fits_skip_the_bordered_hessian(kind, monkeypatch):
+    # The shape picks the path: a triage fold (38 rows, 256 features)
+    # takes every direction from the n×n system, 300 rows × 64 features
+    # builds the bordered Hessian once per iteration.
+    calls = []
+    bordered = learn._newton_direction
+    monkeypatch.setattr(learn, "_newton_direction", lambda H, g: calls.append(1) or bordered(H, g))
+    spec = ClassifierSpec(kind=kind)
+    hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
+    for (n, d), per_iteration in (((38, 256), 0), ((300, 64), 1)):
+        calls.clear()
+        ds = _poisson_counts(7, n, d)
+        p = fit(spec, ds).params
+        assert _check_linear_fit(kind, ds.features, ds.labels, hp, p) < hp["grad_tol"]
+        assert len(calls) == per_iteration * (len(p["loss_curve"]) - 1)
 
 
 def _more_features_than_rows():
@@ -980,6 +1052,19 @@ def test_fit_errors():
     empty = Dataset(ids=(), features=np.empty((0, 2)), labels=np.array([], dtype=np.int64))
     with pytest.raises(LearnError, match="empty"):
         fit(ClassifierSpec(kind="decision_tree"), empty)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows(kind, bad):
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0, 10, (20, 3))
+    hp = {"n_trees": 10} if kind == "random_forest" else {}
+    model = fit(ClassifierSpec(kind=kind, hyperparameters=hp), make_ds(X, [0, 1] * 10))
+    probe = X[:4].copy()
+    probe[2, 1] = bad
+    with pytest.raises(LearnError, match="NaN or infinity"):
+        predict_batch(model, probe)
 
 
 def test_predict_dimension_mismatch():
