@@ -76,6 +76,12 @@ def _setup_logging(verbose: bool, log_file: str | None) -> None:
 # --- config -------------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds are unsigned 64-bit; anything outside would be wrapped."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed out of range: {seed}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = DEFAULT_SEED
@@ -88,8 +94,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed out of range: {self.seed}")
+        _check_seed(self.seed)
         for name, minimum in (("cluster_k", 1), ("cv_k", 2)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -272,6 +277,7 @@ def _cmd_label(args) -> int:
 def _cmd_cluster_compare(args) -> int:
     src = _require_file(args.dataset)
     out = _check_output(args.output)
+    _check_seed(args.seed)
     ds = read_dataset(src)
     rows = compare_clusterings(ds.features, seed=args.seed, standardize=args.standardize)
     _write_text(out, clustering_table_csv(rows))
@@ -301,6 +307,7 @@ def _parse_k_range(text: str) -> range | list[int]:
 def _cmd_elbow(args) -> int:
     src = _require_file(args.dataset)
     out = _check_output(args.output)
+    _check_seed(args.seed)
     ds = read_dataset(src)
     curve = sse_curve(ds.features, args.k, seed=args.seed)
     _write_text(out, elbow_csv(curve))

@@ -433,26 +433,25 @@ class BirchTree:
     merges: np.ndarray
 
 
-def birch(X, threshold: float = 0.05, branching: int = 50) -> BirchTree:
+_BIRCH_THRESHOLD = 0.05
+_BIRCH_BRANCHING = 50  # entries per CF node before it splits
+
+
+def birch(X) -> BirchTree:
     """Single-pass CF-tree condensation, then the ward hierarchy over
     the leaf entries.
 
-    ``threshold`` is a fraction of the data radius (max distance to the
-    global centroid), so one setting works across raw count scales.
-    The absolute radius bound is threshold * radius.
+    The leaf radius bound is ``_BIRCH_THRESHOLD`` times the data radius
+    (max distance to the global centroid), so one setting works across
+    raw count scales.
     """
     X = _as_matrix(X)
-    if threshold <= 0:
-        raise ClusterError(f"threshold must be positive, got {threshold}")
-    if branching < 2:
-        raise ClusterError(f"branching must be at least 2, got {branching}")
-
     radius = float(np.sqrt(_sq_dists(X, X.mean(axis=0)[None, :])).max())
-    abs_threshold = threshold * radius
+    abs_threshold = _BIRCH_THRESHOLD * radius
 
     root = _CFNode(leaf=True)
     for row in X:
-        split = _insert_cf(root, _CF.of_point(row), abs_threshold, branching)
+        split = _insert_cf(root, _CF.of_point(row), abs_threshold, _BIRCH_BRANCHING)
         if split is not None:
             new_root = _CFNode(leaf=False)
             new_root.entries = list(split)
@@ -476,10 +475,7 @@ def birch_cut(tree: BirchTree, k: int) -> np.ndarray:
     _check_k(k, X.shape[0])
     leaves = tree.leaf_counts.size
     if k > leaves:
-        raise ClusterError(
-            f"k={k} exceeds the {leaves} leaf entries the CF tree produced; "
-            "lower k or the threshold"
-        )
+        raise ClusterError(f"k={k} exceeds the {leaves} leaf entries the CF tree produced")
 
     grouping = cut(tree.merges, k)
     final = np.zeros((k, X.shape[1]))
@@ -496,9 +492,12 @@ def birch_cut(tree: BirchTree, k: int) -> np.ndarray:
 # --- DBSCAN ------------------------------------------------------------------
 
 
-def dbscan(X, eps: float, min_pts: int = 5) -> np.ndarray:
-    """Density clustering; core iff >= min_pts neighbors within eps
-    (self included).
+_DBSCAN_MIN_PTS = 5
+
+
+def dbscan(X, eps: float) -> np.ndarray:
+    """Density clustering; core iff >= ``_DBSCAN_MIN_PTS`` neighbors
+    within eps (self included).
 
     Clusters are connected components of the core-core reachability
     graph, numbered by their lowest core row index.  Border points
@@ -516,12 +515,10 @@ def dbscan(X, eps: float, min_pts: int = 5) -> np.ndarray:
     n = X.shape[0]
     if eps <= 0:
         raise ClusterError(f"eps must be positive, got {eps}")
-    if min_pts < 1:
-        raise ClusterError(f"min_pts must be at least 1, got {min_pts}")
 
     dist = np.sqrt(_sq_dists(X, X))
     within = dist <= eps
-    core = within.sum(axis=1) >= min_pts
+    core = within.sum(axis=1) >= _DBSCAN_MIN_PTS
     core_idx = np.flatnonzero(core)
 
     labels = np.full(n, -1, dtype=np.int64)

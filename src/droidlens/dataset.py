@@ -144,6 +144,13 @@ def read_dataset(path) -> Dataset:
         if rows
         else np.empty((0, N_OPCODE_FEATURES), dtype=np.float64)
     )
+    # Opcode counts are never negative, and write_dataset refuses them.
+    negative = np.flatnonzero((features < 0).any(axis=1))
+    if negative.size:
+        row = int(negative[0])
+        raise DatasetError(
+            f"{path}: line {row + 2}: negative feature value {features[row].min():g}"
+        )
     return Dataset(ids=tuple(ids), features=features, labels=np.array(labels, dtype=np.int64))
 
 

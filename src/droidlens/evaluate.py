@@ -106,14 +106,14 @@ def metrics(c: ConfusionCounts) -> tuple[float | None, float | None, float | Non
     return acc, tpr, tnr
 
 
-def kfold_indices(labels, k: int = 10, seed: int = 0, stratified: bool = True):
+def kfold_indices(labels, k: int = 10, seed: int = 0):
     """Disjoint, exhaustive folds with sizes differing by at most one.
 
-    Rows are dealt round-robin to the folds from one order.  In
-    stratified mode that order is each class's shuffled rows, class
-    after class, which bounds both the per-class and the total per-fold
-    spread by one.  Falls back to a plain split (with a warning) when
-    some class has fewer than k rows.
+    Rows are dealt round-robin to the folds from one order: each
+    class's shuffled rows, class after class, which bounds both the
+    per-class and the total per-fold spread by one.  Falls back to a
+    plain split (one shuffled order, with a warning) when some class
+    has fewer than k rows.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -124,19 +124,16 @@ def kfold_indices(labels, k: int = 10, seed: int = 0, stratified: bool = True):
     if k > n:
         raise EvalError(f"cannot split {n} rows into {k} folds")
     rng = derive_rng(seed, "folds")
-    classes = np.unique(labels)
-    if stratified and min(int((labels == c).sum()) for c in classes) < k:
+    per_class = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    if min(idx.size for idx in per_class) < k:
         logger.warning(
             "stratification needs every class count >= k=%d; using a plain split", k
         )
-        stratified = False
-    if stratified:
-        per_class = [np.flatnonzero(labels == c) for c in classes]
+        order = rng.permutation(n)
+    else:
         for idx in per_class:
             rng.shuffle(idx)
         order = np.concatenate(per_class)
-    else:
-        order = rng.permutation(n)
     return [np.sort(order[f::k]).astype(np.intp) for f in range(k)]
 
 
@@ -317,8 +314,9 @@ def _grid_labels(algorithm: str, X, param, seed: int, hierarchy, tree) -> np.nda
     return dbscan(X, float(param))
 
 
-def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False):
-    """Score a parameter grid per algorithm with both validity indices.
+def compare_clusterings(X, seed: int = 0, standardize: bool = False):
+    """Score each algorithm's ``DEFAULT_GRIDS`` entry with both validity
+    indices.
 
     Returns one ComparisonRow per (algorithm, parameter); the winner
     (max Calinski-Harabasz, ties broken by silhouette) is flagged.
@@ -328,18 +326,10 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
     row one CF tree.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
         raise EvalError(f"expected a non-empty 2-D matrix, got shape {X.shape}")
-    grids = dict(DEFAULT_GRIDS)
-    if config:
-        unknown = sorted(set(config) - set(DEFAULT_GRIDS))
-        if unknown:
-            raise EvalError(f"unknown clustering algorithms in config: {unknown}")
-        for name, values in config.items():
-            values = tuple(values)
-            if not values:
-                raise EvalError(f"empty parameter grid for {name}")
-            grids[name] = values
+    if not np.isfinite(X).all():
+        raise EvalError("matrix contains NaN or infinity")
     if standardize:
         std = X.std(axis=0)
         X = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
@@ -350,7 +340,7 @@ def compare_clusterings(X, config=None, seed: int = 0, standardize: bool = False
     tree = functools.cache(lambda: birch(X))
     for algorithm in ALGORITHM_NAMES:
         label = "eps" if algorithm == "dbscan" else "k"
-        for param in grids[algorithm]:
+        for param in DEFAULT_GRIDS[algorithm]:
             parameter = f"{label} = {param:g}"
             try:
                 labels = _grid_labels(algorithm, X, param, seed, hierarchy, tree)

@@ -58,8 +58,8 @@ _NON_NEGATIVE = ("l2", "grad_tol", "max_iter", "max_depth", "min_samples_split")
 def _check_hyperparameter(kind: str, key: str, value) -> None:
     """A key whose default is an int or None takes an integer (or None
     where the default is); any other key takes a real number.  Bools
-    and strings are neither.  The n_trees and mtry ranges depend on the
-    data and are checked at fit time."""
+    and strings are neither.  n_trees and mtry must be at least 1;
+    mtry's upper bound is the feature count, so fit checks it."""
     default = _DEFAULTS[kind][key]
     if value is None and default is None:
         return
@@ -73,6 +73,8 @@ def _check_hyperparameter(kind: str, key: str, value) -> None:
         raise LearnError(f"{kind} {key} must be {wanted}, got {value!r}")
     if key in _NON_NEGATIVE and not value >= 0:
         raise LearnError(f"{kind} {key} must be >= 0, got {value!r}")
+    if key in ("n_trees", "mtry") and not value >= 1:
+        raise LearnError(f"{kind} {key} must be >= 1, got {value!r}")
     if key == "var_floor_ratio" and not value > 0:
         raise LearnError(f"{kind} {key} must be > 0, got {value!r}")
 
@@ -650,12 +652,9 @@ def _fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dic
     mtry = hp["mtry"]
     if mtry is None:
         mtry = max(1, int(math.isqrt(d)))
-    if not 1 <= mtry <= d:
+    if mtry > d:
         raise LearnError(f"mtry must be in [1, {d}], got {mtry}")
-    n_trees = int(hp["n_trees"])
-    if n_trees < 1:
-        raise LearnError(f"n_trees must be at least 1, got {n_trees}")
-    rngs = [derive_rng(seed, "tree", t) for t in range(n_trees)]
+    rngs = [derive_rng(seed, "tree", t) for t in range(int(hp["n_trees"]))]
     samples = [rng.integers(0, n, size=n) for rng in rngs]
     trees = _grow_trees(X, y, samples, hp["max_depth"], hp["min_samples_split"], mtry, rngs)
     return {"trees": trees, "mtry": mtry}

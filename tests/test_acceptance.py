@@ -202,12 +202,10 @@ def test_fold_partition_search():
         if k > n:
             continue
         p = float(rng.uniform(0.05, 0.95))
-        stratified = bool(rng.integers(0, 2))
         labels = (rng.random(n) < p).astype(int)
-        folds = kfold_indices(labels, k=k, seed=cases, stratified=stratified)
+        folds = kfold_indices(labels, k=k, seed=cases)
         counts = np.bincount(labels, minlength=2)
-        effective = stratified and counts.min() >= k
-        check_fold_partition(folds, labels, k, expect_stratified=effective)
+        check_fold_partition(folds, labels, k, expect_stratified=counts.min() >= k)
         cases += 1
     elapsed = time.perf_counter() - t0
     _within_budget(

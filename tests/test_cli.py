@@ -8,11 +8,13 @@ import stat
 import numpy as np
 import pytest
 
+from droidlens import evaluate
 from droidlens.cli import RunConfig, load_config, main
-from droidlens.dataset import read_dataset, write_dataset
+from droidlens.dataset import CSV_HEADER, read_dataset, write_dataset
 from droidlens.errors import ConfigError
 from droidlens.evaluate import report_csv, run_plain_pipeline
 from droidlens.learn import ClassifierSpec
+from droidlens.oracle import LabelOracle
 from dexfactory import (
     FIXTURE_MULTI_CLASSES,
     build_dex,
@@ -149,6 +151,22 @@ def test_label_missing_report_exits_1(tmp_path, capsys):
     out = tmp_path / "labeled.csv"
     assert main(["label", str(features), "--oracle", str(reports), "-o", str(out)]) == 1
     assert "no recorded report" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_label_rejects_negative_counts_before_any_fetch(tmp_path, capsys, monkeypatch):
+    fetched = []
+    monkeypatch.setattr(LabelOracle, "fetch", lambda self, h: fetched.append(h))
+    rows = [[f"{i:02x}" * 32, "0"] + ["1"] * 256 for i in range(3)]
+    rows[1][40] = "-2"
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(",".join(r) for r in [CSV_HEADER, *rows]) + "\n")
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    out = tmp_path / "labeled.csv"
+    assert main(["label", str(features), "--oracle", str(reports), "-o", str(out)]) == 1
+    assert "line 3: negative feature value -2" in capsys.readouterr().err
+    assert fetched == []
     assert not out.exists()
 
 
@@ -338,6 +356,35 @@ def test_bad_hyperparameter_value_exits_1(labeled_csv, tmp_path, capsys):
         assert "droidlens: error:" in err and next(iter(hp)) in err
         assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("hp", [{"n_trees": 0}, {"mtry": 0}])
+def test_forest_size_checked_before_any_fit(labeled_csv, tmp_path, capsys, monkeypatch, hp):
+    fits, real_fit = [], evaluate.fit
+    monkeypatch.setattr(evaluate, "fit", lambda spec, ds: fits.append(spec) or real_fit(spec, ds))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"classifiers": [
+        {"kind": "logistic_regression"},
+        {"kind": "linear_svm"},
+        {"kind": "random_forest", "hyperparameters": hp},
+    ]}))
+    code = main(
+        ["eval", "plain", str(labeled_csv), "--config", str(config), "-o", str(tmp_path / "r.csv")]
+    )
+    assert code == 1
+    assert f"random_forest {next(iter(hp))} must be >= 1" in capsys.readouterr().err
+    assert fits == []
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "command", [["eval", "plain"], ["compare"], ["cluster-compare"], ["elbow"]]
+)
+def test_seed_out_of_range_exits_1(labeled_csv, tmp_path, capsys, command, seed):
+    out = tmp_path / "out.csv"
+    assert main([*command, str(labeled_csv), "--seed", seed, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"droidlens: error: seed out of range: {seed}\n"
+    assert not out.exists()
 
 
 def test_compare_summary(labeled_csv, tmp_path):

@@ -210,10 +210,7 @@ def _reference_birch(X, k, threshold=0.05, branching=50):
             root.entries = list(split)
     entries = _leaf_entries(root)
     if k > len(entries):
-        raise ClusterError(
-            f"k={k} exceeds the {len(entries)} leaf entries the CF tree produced; "
-            "lower k or the threshold"
-        )
+        raise ClusterError(f"k={k} exceeds the {len(entries)} leaf entries the CF tree produced")
     centroids = np.array([e.centroid() for e in entries])
     grouping = cut(agglomerative(centroids), k)
     final = np.zeros((k, X.shape[1]))
@@ -223,6 +220,20 @@ def _reference_birch(X, k, threshold=0.05, branching=50):
     raw = assign_clusters_batch(X, final)
     _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse]
+
+
+def _birch(X, threshold, branching=clustering._BIRCH_BRANCHING):
+    """``birch`` with its leaf threshold and branching factor patched."""
+    with mock.patch.multiple(
+        clustering, _BIRCH_THRESHOLD=threshold, _BIRCH_BRANCHING=branching
+    ):
+        return birch(X)
+
+
+def _dbscan(X, eps, min_pts):
+    """``dbscan`` with its core neighbour count patched."""
+    with mock.patch.object(clustering, "_DBSCAN_MIN_PTS", min_pts):
+        return dbscan(X, eps)
 
 
 def _drawn_matrix(kind, n, d, seed):
@@ -524,30 +535,30 @@ def test_cut_matches_per_k_reference(n, d, grid, seed):
 
 
 def test_birch_worked_example():
-    assign = birch_cut(birch(FOUR_POINTS, threshold=0.6), 2)
+    assign = birch_cut(_birch(FOUR_POINTS, threshold=0.6), 2)
     assert partition_of(assign) == frozenset({frozenset({0, 1}), frozenset({2, 3})})
 
 
 def test_birch_single_cluster_with_huge_threshold():
-    assign = birch_cut(birch(FOUR_POINTS, threshold=10.0), 1)
+    assign = birch_cut(_birch(FOUR_POINTS, threshold=10.0), 1)
     assert assign.tolist() == [0, 0, 0, 0]
 
 
 def test_birch_singletons_with_tiny_threshold():
-    assign = birch_cut(birch(FOUR_POINTS, threshold=1e-6), 4)
+    assign = birch_cut(_birch(FOUR_POINTS, threshold=1e-6), 4)
     assert sorted(set(assign.tolist())) == [0, 1, 2, 3]
 
 
 def test_birch_k_exceeds_entries():
     X = np.vstack([np.tile([0.0], (5, 1)), np.tile([50.0], (5, 1))])
-    tree = birch(X, threshold=0.9)  # big radius: only 2 entries survive
+    tree = _birch(X, threshold=0.9)  # big radius: only 2 entries survive
     with pytest.raises(ClusterError, match="leaf entries"):
         birch_cut(tree, 3)
 
 
 def test_birch_blobs_with_node_splits():
     X = two_blob_matrix(21, per=100)
-    labels = birch_cut(birch(X, threshold=0.01, branching=4), 2)  # force many splits
+    labels = birch_cut(_birch(X, threshold=0.01, branching=4), 2)  # force many splits
     assert len(set(labels[:100])) == 1
     assert len(set(labels[100:])) == 1
     assert labels[0] != labels[100]
@@ -572,7 +583,7 @@ def test_birch_label_order_is_by_first_row(n, d, k, threshold, grid, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 3, (n, d)).astype(float) if grid else rng.normal(0, 3, (n, d))
     try:
-        assign = birch_cut(birch(X, threshold=threshold, branching=3), min(k, n))
+        assign = birch_cut(_birch(X, threshold=threshold, branching=3), min(k, n))
     except ClusterError as exc:
         assert "leaf entries" in str(exc)
         return
@@ -591,7 +602,7 @@ def test_birch_label_order_is_by_first_row(n, d, k, threshold, grid, seed):
 @example(kind="normal", n=30, d=2, threshold=1e-6, branching=3, seed=0)  # node splits
 def test_birch_cut_matches_per_k_reference(kind, n, d, threshold, branching, seed):
     X = _drawn_matrix(kind, n, d, seed)
-    tree = birch(X, threshold=threshold, branching=branching)
+    tree = _birch(X, threshold, branching)
     for k in range(1, n + 2):
         try:
             expected = _reference_birch(X, k, threshold, branching)
@@ -604,11 +615,7 @@ def test_birch_cut_matches_per_k_reference(kind, n, d, threshold, branching, see
 
 
 def test_birch_errors():
-    with pytest.raises(ClusterError):
-        birch(FOUR_POINTS, threshold=0.0)
-    with pytest.raises(ClusterError):
-        birch(FOUR_POINTS, threshold=0.5, branching=1)
-    tree = birch(FOUR_POINTS, threshold=1e-6)
+    tree = _birch(FOUR_POINTS, threshold=1e-6)
     for k in (0, 5):
         with pytest.raises(ClusterError, match="1 <= k <= n"):
             birch_cut(tree, k)
@@ -621,7 +628,7 @@ def test_dbscan_line_is_one_cluster():
     X = np.array([[0.0], [1.0], [2.0]])
     comps, cores, noise = oracle_dbscan_cores(X.tolist(), 1.5, 2)
     assert comps == [frozenset({0, 1, 2})] and not noise
-    assign = dbscan(X, eps=1.5, min_pts=2)
+    assign = _dbscan(X, eps=1.5, min_pts=2)
     assert assign.tolist() == [0, 0, 0]
     assert assign.max() + 1 == 1
 
@@ -630,13 +637,13 @@ def test_dbscan_outlier_is_noise():
     X = np.array([[0.0], [1.0], [2.0], [100.0]])
     comps, cores, noise = oracle_dbscan_cores(X.tolist(), 1.5, 2)
     assert noise == {3}
-    assign = dbscan(X, eps=1.5, min_pts=2)
+    assign = _dbscan(X, eps=1.5, min_pts=2)
     assert assign.tolist() == [0, 0, 0, -1]
 
 
 def test_dbscan_all_noise():
     X = np.array([[0.0], [10.0], [20.0]])
-    assign = dbscan(X, eps=1.0, min_pts=2)
+    assign = _dbscan(X, eps=1.0, min_pts=2)
     assert assign.tolist() == [-1, -1, -1]
     assert assign.max() + 1 == 0
 
@@ -646,13 +653,13 @@ def test_dbscan_border_attaches_to_core_cluster():
     # Only the middle point is core; ends are border.
     comps, cores, noise = oracle_dbscan_cores(X.tolist(), 1.1, 3)
     assert cores == {1} and not noise
-    assign = dbscan(X, eps=1.1, min_pts=3)
+    assign = _dbscan(X, eps=1.1, min_pts=3)
     assert assign.tolist() == [0, 0, 0]
 
 
 def test_dbscan_ids_follow_first_core_row():
     X = np.array([[50.0], [51.0], [0.0], [1.0]])
-    assign = dbscan(X, eps=1.5, min_pts=2)
+    assign = _dbscan(X, eps=1.5, min_pts=2)
     assert assign.tolist() == [0, 0, 1, 1]
 
 
@@ -660,7 +667,7 @@ def test_dbscan_two_islands_match_oracle():
     rng = np.random.default_rng(17)
     X = np.vstack([rng.normal(0, 0.3, (12, 2)), rng.normal(8, 0.3, (9, 2)), [[100.0, 100.0]]])
     comps, cores, noise = oracle_dbscan_cores(X.tolist(), 1.0, 4)
-    assign = dbscan(X, eps=1.0, min_pts=4)
+    assign = _dbscan(X, eps=1.0, min_pts=4)
     assert partition_of(assign) == frozenset(
         frozenset(c | {i for i in range(len(X)) if assign[i] == assign[min(c)]})
         for c in comps
@@ -675,8 +682,8 @@ def test_dbscan_permutation_invariant(seed):
     X = np.vstack([rng.normal(0, 0.5, (10, 2)), rng.normal(6, 0.5, (8, 2)),
                    rng.uniform(-20, 20, (4, 2))])
     perm = rng.permutation(len(X))
-    base = dbscan(X, eps=1.2, min_pts=3)
-    shuffled = dbscan(X[perm], eps=1.2, min_pts=3)
+    base = _dbscan(X, eps=1.2, min_pts=3)
+    shuffled = _dbscan(X[perm], eps=1.2, min_pts=3)
     unshuffled = [None] * len(X)
     for pos, orig in enumerate(perm):
         unshuffled[orig] = int(shuffled[pos])
@@ -721,7 +728,7 @@ def _dbscan_problems(draw):
 @example((np.array([[0.0], [0.0], [1.0], [2.0], [3.0], [4.0], [4.0]]), 1.0, 4))
 def test_dbscan_matches_reference(problem):
     X, eps, min_pts = problem
-    got = dbscan(X, eps, min_pts)
+    got = _dbscan(X, eps, min_pts)
     assert got.dtype == np.int64
     assert np.array_equal(got, _reference_dbscan(X, eps, min_pts))
 
@@ -729,8 +736,6 @@ def test_dbscan_matches_reference(problem):
 def test_dbscan_errors():
     with pytest.raises(ClusterError):
         dbscan(FOUR_POINTS, eps=0.0)
-    with pytest.raises(ClusterError):
-        dbscan(FOUR_POINTS, eps=1.0, min_pts=0)
 
 
 # --- GMM ---------------------------------------------------------------------

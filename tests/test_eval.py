@@ -132,9 +132,9 @@ def reference_kfold_indices(labels, k, seed, stratified):
 
 
 def test_fold_examples():
-    folds = kfold_indices(np.zeros(10, dtype=int), k=10, seed=1, stratified=False)
+    folds = kfold_indices(np.zeros(10, dtype=int), k=10, seed=1)
     assert all(len(f) == 1 for f in folds)
-    folds = kfold_indices(np.zeros(11, dtype=int), k=10, seed=1, stratified=False)
+    folds = kfold_indices(np.zeros(11, dtype=int), k=10, seed=1)
     assert sorted(len(f) for f in folds) == [1] * 9 + [2]
 
 
@@ -174,35 +174,32 @@ def test_folds_deterministic_per_seed():
     n=st.integers(min_value=2, max_value=60),
     k=st.integers(min_value=2, max_value=12),
     seed=st.integers(min_value=0, max_value=10_000),
-    stratified=st.booleans(),
     p=st.floats(min_value=0.05, max_value=0.95),
 )
 @settings(max_examples=150, deadline=None)
-def test_fold_partition_properties(n, k, seed, stratified, p):
+def test_fold_partition_properties(n, k, seed, p):
     if k > n:
         return
     labels = (np.random.default_rng(seed).random(n) < p).astype(int)
-    folds = kfold_indices(labels, k=k, seed=seed, stratified=stratified)
+    folds = kfold_indices(labels, k=k, seed=seed)
     counts = np.bincount(labels, minlength=2)
-    effective = stratified and counts.min() >= k and counts.max() >= k
-    check_fold_partition(folds, labels, k, expect_stratified=effective)
+    check_fold_partition(folds, labels, k, expect_stratified=counts.min() >= k)
 
 
 @given(
     n=st.integers(min_value=2, max_value=80),
     k=st.integers(min_value=2, max_value=12),
     seed=st.integers(min_value=0, max_value=10_000),
-    stratified=st.booleans(),
     n_classes=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=300, deadline=None)
-def test_folds_match_per_row_reference(n, k, seed, stratified, n_classes):
-    # Small classes make stratified draws fall back to the plain split.
+def test_folds_match_per_row_reference(n, k, seed, n_classes):
+    # Small classes make the split fall back to the plain one.
     if k > n:
         return
     labels = np.random.default_rng(seed).integers(0, n_classes, n)
-    got = kfold_indices(labels, k=k, seed=seed, stratified=stratified)
-    want = reference_kfold_indices(labels, k, seed, stratified)
+    got = kfold_indices(labels, k=k, seed=seed)
+    want = reference_kfold_indices(labels, k, seed, stratified=True)
     assert len(got) == len(want) == k
     for g, w in zip(got, want):
         assert g.dtype == np.intp
@@ -521,9 +518,7 @@ def test_smote_skipped_for_tiny_minority(caplog):
 
 def test_comparison_two_blob_winner_is_k2():
     ds = two_blob_dataset(5)
-    rows = compare_clusterings(
-        ds.features, config={"kmeans": (2, 3, 4, 5)}, seed=0
-    )
+    rows = compare_clusterings(ds.features, seed=0)
     km = [r for r in rows if r.algorithm == "kmeans"]
     best = max(km, key=lambda r: r.calinski_harabasz)
     assert best.parameter == "k = 2"
@@ -544,11 +539,10 @@ def test_comparison_default_grid_shape():
             assert r.calinski_harabasz is None
 
 
-def test_comparison_degenerate_dbscan_row():
+def test_comparison_degenerate_dbscan_row(monkeypatch):
     ds = two_blob_dataset(2, per=10)
-    rows = compare_clusterings(
-        ds.features, config={"dbscan": (1e-6,)}, seed=0
-    )
+    monkeypatch.setitem(evaluate.DEFAULT_GRIDS, "dbscan", (1e-6,))
+    rows = compare_clusterings(ds.features, seed=0)
     row = next(r for r in rows if r.algorithm == "dbscan")
     assert row.n_clusters == 0
     assert row.calinski_harabasz is None
@@ -556,23 +550,24 @@ def test_comparison_degenerate_dbscan_row():
 
 
 def test_comparison_config_validation():
-    X = np.zeros((4, 2))
-    with pytest.raises(EvalError, match="unknown clustering algorithms"):
-        compare_clusterings(X, config={"spectral": (2,)})
-    with pytest.raises(EvalError, match="empty parameter grid"):
-        compare_clusterings(X, config={"kmeans": ()})
     with pytest.raises(EvalError, match="2-D"):
         compare_clusterings(np.zeros(3))
+    # Each clusterer would reject these itself, and its row would read n/a.
+    with pytest.raises(EvalError, match="2-D"):
+        compare_clusterings(np.zeros((4, 0)))
+    X = np.zeros((4, 2))
+    X[2, 1] = np.nan
+    with pytest.raises(EvalError, match="NaN"):
+        compare_clusterings(X)
 
 
-def test_comparison_standardize_changes_dbscan_scale():
+def test_comparison_standardize_changes_dbscan_scale(monkeypatch):
     ds = two_blob_dataset(9, per=20)
     # Raw coordinates: the blob gap is ~14, so eps=5 finds two clusters.
     # Standardized, the gap shrinks to ~2.8 and eps=5 glues them.
-    raw = compare_clusterings(ds.features, config={"dbscan": (5.0,)}, seed=0)
-    std = compare_clusterings(
-        ds.features, config={"dbscan": (5.0,)}, seed=0, standardize=True
-    )
+    monkeypatch.setitem(evaluate.DEFAULT_GRIDS, "dbscan", (5.0,))
+    raw = compare_clusterings(ds.features, seed=0)
+    std = compare_clusterings(ds.features, seed=0, standardize=True)
     assert next(r for r in raw if r.algorithm == "dbscan").n_clusters == 2
     assert next(r for r in std if r.algorithm == "dbscan").n_clusters == 1
 
@@ -593,9 +588,8 @@ def test_comparison_shares_one_distance_matrix(monkeypatch):
 
     monkeypatch.setattr(evaluate, "exact_distances", counting_distances)
     monkeypatch.setattr(evaluate, "silhouette", recording_silhouette)
-    rows = compare_clusterings(
-        X, config={"dbscan": (0.3, 0.6, 1.0, 3.0)}, seed=2, standardize=True
-    )
+    monkeypatch.setitem(evaluate.DEFAULT_GRIDS, "dbscan", (0.3, 0.6, 1.0, 3.0))
+    rows = compare_clusterings(X, seed=2, standardize=True)
     assert len(built) == 1
     assert len(scored) == len(rows) == 20
     assert all(dist is built[0] for _, _, dist in scored)
@@ -612,7 +606,8 @@ def test_comparison_shares_one_distance_matrix(monkeypatch):
     )
 
     built.clear()
-    compare_clusterings(X, config={"dbscan": (1e-6,)}, seed=2)
+    monkeypatch.setitem(evaluate.DEFAULT_GRIDS, "dbscan", (1e-6,))
+    compare_clusterings(X, seed=2)
     assert len(built) == 1
 
 

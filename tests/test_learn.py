@@ -374,6 +374,7 @@ def test_spec_rejects_unknown_kind_and_keys():
         ("random_forest", {"n_trees": 2.5}, "n_trees must be an integer"),
         ("random_forest", {"n_trees": False}, "n_trees must be an integer"),
         ("random_forest", {"mtry": 1.5}, "mtry must be an integer or null"),
+        ("random_forest", {"mtry": 0}, "mtry must be >= 1"),
     ],
 )
 def test_spec_rejects_bad_hyperparameter_values(kind, hp, message):
@@ -1026,10 +1027,9 @@ def test_tree_fit_memory_stays_linear():
 
 @pytest.mark.parametrize("n_trees", [0, -3])
 def test_rf_rejects_n_trees_below_one(n_trees):
-    ds = make_ds([[0.0], [1.0], [2.0], [3.0]], [1, 1, 1, 0])
-    spec = ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": n_trees})
-    with pytest.raises(LearnError, match="n_trees must be at least 1"):
-        fit(spec, ds)
+    # The spec refuses it, so a run fails before fitting anything.
+    with pytest.raises(LearnError, match="n_trees must be >= 1"):
+        ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": n_trees})
 
 
 def test_nb_zero_variance_feature_floored():
