@@ -6,7 +6,8 @@ them.  A partition is a 1-D integer array of cluster ids, one per row,
 with -1 marking DBSCAN noise; k-means and the mixture return their
 model alongside it.  Agglomerative instead returns the ward hierarchy
 as its list of merges, and ``cut`` reads the partition at any k off
-it.  Everything is
+it.  DBSCAN and silhouette read an n×n distance matrix, so one
+``exact_distances(X)`` serves every call on one X.  Everything is
 deterministic given (X, params, seed): ties break toward the lowest
 index, and all randomness flows through derived generator streams.
 Features are consumed raw; callers standardize beforehand if they want
@@ -34,6 +35,13 @@ def _as_matrix(X) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ClusterError("matrix contains NaN or infinity")
     return X
+
+
+def _as_distances(dist) -> np.ndarray:
+    dist = _as_matrix(dist)
+    if dist.shape[0] != dist.shape[1]:
+        raise ClusterError(f"distance matrix must be square, got shape {dist.shape}")
+    return dist
 
 
 def _check_k(k: int, n: int) -> None:
@@ -495,8 +503,9 @@ def birch_cut(tree: BirchTree, k: int) -> np.ndarray:
 _DBSCAN_MIN_PTS = 5
 
 
-def dbscan(X, eps: float) -> np.ndarray:
-    """Density clustering; core iff >= ``_DBSCAN_MIN_PTS`` neighbors
+def dbscan(dist, eps: float) -> np.ndarray:
+    """Density clustering over an n×n distance matrix, such as
+    ``exact_distances(X)``; core iff >= ``_DBSCAN_MIN_PTS`` neighbors
     within eps (self included).
 
     Clusters are connected components of the core-core reachability
@@ -508,15 +517,14 @@ def dbscan(X, eps: float) -> np.ndarray:
     Each component is found by a breadth-first search from its lowest
     unreached core, one numpy step per level over the core×core
     neighbour mask: O(n^2) numpy work in all, and one Python step per
-    level, so a chain of cores n long takes n steps.  Memory is the
-    n×n distance matrix plus the core×core mask.
+    level, so a chain of cores n long takes n steps.  Memory beyond
+    the matrix is the n×n and core×core boolean masks.
     """
-    X = _as_matrix(X)
-    n = X.shape[0]
+    dist = _as_distances(dist)
+    n = dist.shape[0]
     if eps <= 0:
         raise ClusterError(f"eps must be positive, got {eps}")
 
-    dist = np.sqrt(_sq_dists(X, X))
     within = dist <= eps
     core = within.sum(axis=1) >= _DBSCAN_MIN_PTS
     core_idx = np.flatnonzero(core)
@@ -640,11 +648,11 @@ def gmm(X, k: int, seed: int) -> tuple[GmmModel, np.ndarray]:
 # --- Validity indices ----------------------------------------------------------
 
 
-def _validated_partition(X: np.ndarray, labels, allow_noise: bool) -> np.ndarray:
-    """The labels as a 1-D integer array, one per row of X, none below -1."""
+def _validated_partition(n: int, labels, allow_noise: bool) -> np.ndarray:
+    """The labels as a 1-D integer array of length n, none below -1."""
     labels = np.asarray(labels)
-    if labels.shape != (X.shape[0],):
-        raise ClusterError(f"labels have shape {labels.shape}, X has {X.shape[0]} rows")
+    if labels.shape != (n,):
+        raise ClusterError(f"labels have shape {labels.shape}, the input has {n} rows")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ClusterError(f"labels must be integers, got dtype {labels.dtype}")
     bad = np.flatnonzero(labels < -1)
@@ -661,7 +669,7 @@ def calinski_harabasz(X, labels) -> float:
     reported, never a crash).  k counts the non-empty clusters, so an
     unused cluster id changes neither k - 1 nor n - k."""
     X = _as_matrix(X)
-    labels = _validated_partition(X, labels, allow_noise=False)
+    labels = _validated_partition(X.shape[0], labels, allow_noise=False)
     present = np.unique(labels)
     k = present.size
     n = X.shape[0]
@@ -683,21 +691,16 @@ def calinski_harabasz(X, labels) -> float:
     return (between / (k - 1)) / (within / (n - k))
 
 
-def silhouette(X, labels, dist: np.ndarray | None = None) -> float:
+def silhouette(dist, labels) -> float:
     """Mean silhouette over non-noise points; singleton clusters
-    contribute 0 by convention.  Exact O(n^2) distances.
+    contribute 0 by convention.
 
-    ``dist`` may carry ``exact_distances(X)`` for all of X's rows, noise
-    included, so callers scoring many partitions of one X compute it
-    once; without it the matrix is computed here.
+    ``dist`` is the n×n distance matrix of all the rows, noise
+    included, such as ``exact_distances(X)``; callers scoring many
+    partitions of one X compute it once.
     """
-    X = _as_matrix(X)
-    labels = _validated_partition(X, labels, allow_noise=True)
-    if dist is not None and dist.shape != (X.shape[0], X.shape[0]):
-        raise ClusterError(
-            f"distance matrix has shape {dist.shape}, expected "
-            f"{X.shape[0]}x{X.shape[0]} for X's rows"
-        )
+    dist = _as_distances(dist)
+    labels = _validated_partition(dist.shape[0], labels, allow_noise=True)
     keep = labels != -1
     excluded = int((~keep).sum())
     if excluded:
@@ -715,8 +718,6 @@ def silhouette(X, labels, dist: np.ndarray | None = None) -> float:
     if uniq.size > n - 1:
         raise ClusterError(f"silhouette needs k <= n-1, got k={uniq.size}, n={n}")
 
-    if dist is None:
-        dist = exact_distances(X)
     # Noise columns match no cluster; noise rows are dropped after the sums.
     sums = np.stack([dist[:, labels == c].sum(axis=1) for c in uniq], axis=1)[keep]
     rows = np.arange(n)

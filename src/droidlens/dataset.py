@@ -171,10 +171,14 @@ class ScanVerdicts:
         return sum(self.engines.values())
 
 
-def consensus_label(v: ScanVerdicts, threshold: int = 1) -> int:
-    """1 (malware) iff at least ``threshold`` engines flagged the file."""
+def check_threshold(threshold: int) -> None:
     if threshold < 1:
         raise DatasetError(f"threshold must be positive, got {threshold}")
+
+
+def consensus_label(v: ScanVerdicts, threshold: int = 1) -> int:
+    """1 (malware) iff at least ``threshold`` engines flagged the file."""
+    check_threshold(threshold)
     if not v.engines:
         raise NoVerdictsError(f"no engine verdicts for {v.file_hash}; label unknown")
     return 1 if v.detections >= threshold else 0

@@ -149,18 +149,6 @@ class ReportRow:
     kind: str
     folds: tuple[ConfusionCounts, ...]
 
-    @property
-    def accuracy(self) -> float | None:
-        return aggregate_metrics(self.folds)[0]
-
-    @property
-    def tpr(self) -> float | None:
-        return aggregate_metrics(self.folds)[1]
-
-    @property
-    def tnr(self) -> float | None:
-        return aggregate_metrics(self.folds)[2]
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -301,7 +289,7 @@ class ComparisonRow:
     winner: bool = False
 
 
-def _grid_labels(algorithm: str, X, param, seed: int, hierarchy, tree) -> np.ndarray:
+def _grid_labels(algorithm: str, X, param, seed: int, hierarchy, tree, dist) -> np.ndarray:
     row_seed = derive_seed(seed, "compare", algorithm, str(param))
     if algorithm == "kmeans":
         return kmeans(X, int(param), seed=row_seed)[1]
@@ -311,7 +299,7 @@ def _grid_labels(algorithm: str, X, param, seed: int, hierarchy, tree) -> np.nda
         return birch_cut(tree(), int(param))
     if algorithm == "gmm":
         return gmm(X, int(param), seed=row_seed)[1]
-    return dbscan(X, float(param))
+    return dbscan(dist, float(param))
 
 
 def compare_clusterings(X, seed: int = 0, standardize: bool = False):
@@ -320,10 +308,9 @@ def compare_clusterings(X, seed: int = 0, standardize: bool = False):
 
     Returns one ComparisonRow per (algorithm, parameter); the winner
     (max Calinski-Harabasz, ties broken by silhouette) is flagged.
-    Undefined scores are carried as None.  Every row's silhouette reads
-    one exact distance matrix, computed when the first row needs it;
-    every agglomerative row cuts one ward hierarchy, and every BIRCH
-    row one CF tree.
+    Undefined scores are carried as None.  One exact distance matrix
+    serves every DBSCAN row and every silhouette; every agglomerative
+    row cuts one ward hierarchy, and every BIRCH row one CF tree.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
@@ -334,7 +321,7 @@ def compare_clusterings(X, seed: int = 0, standardize: bool = False):
         std = X.std(axis=0)
         X = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
     rows: list[ComparisonRow] = []
-    dist = None
+    dist = exact_distances(X)
     # Each built when the first row needing it runs; a failure is not cached.
     hierarchy = functools.cache(lambda: agglomerative(X))
     tree = functools.cache(lambda: birch(X))
@@ -343,7 +330,7 @@ def compare_clusterings(X, seed: int = 0, standardize: bool = False):
         for param in DEFAULT_GRIDS[algorithm]:
             parameter = f"{label} = {param:g}"
             try:
-                labels = _grid_labels(algorithm, X, param, seed, hierarchy, tree)
+                labels = _grid_labels(algorithm, X, param, seed, hierarchy, tree, dist)
             except ClusterError as exc:
                 logger.info("%s %s failed: %s", algorithm, parameter, exc)
                 rows.append(ComparisonRow(algorithm, parameter, None, None, None))
@@ -353,10 +340,8 @@ def compare_clusterings(X, seed: int = 0, standardize: bool = False):
                 ch = calinski_harabasz(X, labels)
             except ClusterError:
                 ch = None
-            if dist is None:
-                dist = exact_distances(X)
             try:
-                sil = silhouette(X, labels, dist=dist)
+                sil = silhouette(dist, labels)
             except ClusterError:
                 sil = None
             rows.append(ComparisonRow(algorithm, parameter, found, ch, sil))

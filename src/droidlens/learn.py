@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -96,7 +97,8 @@ class ClassifierSpec:
             )
         for key, value in self.hyperparameters.items():
             _check_hyperparameter(self.kind, key, value)
-        object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
+        # A read-only copy: a spec cannot change after it was checked.
+        object.__setattr__(self, "hyperparameters", MappingProxyType(dict(self.hyperparameters)))
 
     def resolved(self) -> dict:
         merged = dict(_DEFAULTS[self.kind])

@@ -11,6 +11,7 @@ touch the network.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .dataset import Dataset, ScanVerdicts, consensus_label
+from .dataset import Dataset, ScanVerdicts, check_threshold, consensus_label
 from .errors import OracleError
 
 API_KEY_ENV = "DROIDLENS_ORACLE_KEY"
@@ -47,8 +48,10 @@ class LabelOracle:
     ) -> None:
         if (base_url is None) == (fixture_dir is None):
             raise OracleError("configure exactly one of base_url or fixture_dir")
-        if requests_per_minute <= 0:
-            raise OracleError(f"requests_per_minute must be positive, got {requests_per_minute}")
+        if not 0 < requests_per_minute < math.inf:  # also false for NaN
+            raise OracleError(
+                f"requests_per_minute must be finite and positive, got {requests_per_minute}"
+            )
         self._base_url = base_url.rstrip("/") if base_url else None
         self._fixture_dir = Path(fixture_dir) if fixture_dir is not None else None
         if self._fixture_dir is not None and not self._fixture_dir.is_dir():
@@ -126,6 +129,8 @@ def relabel(ds: Dataset, oracle: LabelOracle, threshold: int = 1) -> Dataset:
     """Replace labels with the consensus verdict for each row id.
 
     Row ids must be the file hashes the histograms were extracted from.
+    The threshold is checked before the first request.
     """
+    check_threshold(threshold)
     labels = [consensus_label(oracle.fetch(row_id), threshold) for row_id in ds.ids]
     return Dataset(ids=ds.ids, features=ds.features, labels=np.array(labels, dtype=np.int64))

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import test_uleb128 as uleb
-from droidlens.clustering import calinski_harabasz, kmeans, silhouette
+from droidlens.clustering import calinski_harabasz, exact_distances, kmeans, silhouette
 from droidlens.dex import extract_histogram, parse_dex
 from droidlens.errors import DexParseError
 from droidlens.evaluate import (
     ConfusionCounts,
+    aggregate_metrics,
     kfold_indices,
     metrics,
     report_csv,
@@ -107,12 +108,12 @@ def test_validity_index_oracles():
         X, labels = _random_partition(rng)
         for got, want in (
             (calinski_harabasz(X, labels), oracle_ch(X, labels)),
-            (silhouette(X, labels), oracle_silhouette(X, labels)),
+            (silhouette(exact_distances(X), labels), oracle_silhouette(X, labels)),
         ):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
     ch = calinski_harabasz(FOUR_POINTS, AABB)
-    sil = silhouette(FOUR_POINTS, AABB)
+    sil = silhouette(exact_distances(FOUR_POINTS), AABB)
     worked = ch == 200.0 and abs(sil - 0.89974937) < 1e-7
     elapsed = time.perf_counter() - t0
     _within_budget(
@@ -221,7 +222,10 @@ def test_clustered_beats_plain_on_four_blobs():
         ds = four_blob_dataset(seed)
         plain = run_plain_pipeline(ds, [spec], k=10, seed=seed)
         clustered = run_clustered_pipeline(ds, [spec], cluster_k=2, k=10, seed=seed)
-        gaps.append(clustered.rows[0].accuracy - plain.rows[0].accuracy)
+        gaps.append(
+            aggregate_metrics(clustered.rows[0].folds)[0]
+            - aggregate_metrics(plain.rows[0].folds)[0]
+        )
     mean_gap = float(np.mean(gaps))
     elapsed = time.perf_counter() - t0
     _within_budget(
@@ -241,7 +245,7 @@ def test_classifier_sanity():
         for seed in range(10):
             noisy = noisy_blob_dataset(seed)
             report = run_plain_pipeline(noisy, [ClassifierSpec(kind=kind)], k=5, seed=seed)
-            accs.append(report.rows[0].accuracy)
+            accs.append(aggregate_metrics(report.rows[0].folds)[0])
         means[kind] = float(np.mean(accs))
 
     clean = noisy_blob_dataset(0, flip=0.0)
@@ -249,7 +253,7 @@ def test_classifier_sanity():
     clean_accs = {}
     for kind in KINDS:
         report = run_plain_pipeline(clean, [ClassifierSpec(kind=kind)], k=5, seed=0)
-        clean_accs[kind] = report.rows[0].accuracy
+        clean_accs[kind] = aggregate_metrics(report.rows[0].folds)[0]
     elapsed = time.perf_counter() - t0
     ok = means["random_forest"] >= means["decision_tree"] and all(
         acc > baseline for acc in clean_accs.values()

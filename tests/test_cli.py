@@ -170,6 +170,32 @@ def test_label_rejects_negative_counts_before_any_fetch(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--threshold", "0"], "threshold must be positive, got 0"),
+        (["--threshold", "-2"], "threshold must be positive, got -2"),
+        (["--rpm", "nan"], "requests_per_minute must be finite and positive, got nan"),
+        (["--rpm", "inf"], "requests_per_minute must be finite and positive, got inf"),
+    ],
+)
+def test_label_rejects_bad_settings_before_any_fetch(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    fetched = []
+    monkeypatch.setattr(LabelOracle, "fetch", lambda self, h: fetched.append(h))
+    features = tmp_path / "features.csv"
+    write_dataset(make_ds(np.ones((2, 256)), [0, 1]), features)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    out = tmp_path / "labeled.csv"
+    argv = ["label", str(features), "--oracle", str(reports), "-o", str(out), *flags]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert fetched == []
+    assert not out.exists()
+
+
 # --- cluster-compare and elbow ----------------------------------------------------
 
 

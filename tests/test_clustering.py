@@ -9,11 +9,15 @@ agglomeration, and a neighbor-count reachability oracle for DBSCAN.
 loop that ``agglomerative`` and ``cut`` replaced, ``_reference_kmeans``
 the Lloyd loop that recomputed X's row norms on every distance pass,
 and ``_reference_birch`` the per-k BIRCH that ``birch`` and
-``birch_cut`` replaced; all share the library's distance computation.
+``birch_cut`` replaced; all share the library's distance computation,
+except that ``_reference_dbscan`` keeps the expanded form ``dbscan``
+used before it took ``exact_distances``.  Its draws are integer grids
+and lines, on which both forms give exact distances.
 """
 
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 from unittest import mock
 
@@ -231,9 +235,10 @@ def _birch(X, threshold, branching=clustering._BIRCH_BRANCHING):
 
 
 def _dbscan(X, eps, min_pts):
-    """``dbscan`` with its core neighbour count patched."""
+    """``dbscan`` of X's exact distances, with its core neighbour count
+    patched."""
     with mock.patch.object(clustering, "_DBSCAN_MIN_PTS", min_pts):
-        return dbscan(X, eps)
+        return dbscan(exact_distances(X), eps)
 
 
 def _drawn_matrix(kind, n, d, seed):
@@ -734,8 +739,43 @@ def test_dbscan_matches_reference(problem):
 
 
 def test_dbscan_errors():
-    with pytest.raises(ClusterError):
-        dbscan(FOUR_POINTS, eps=0.0)
+    dist = exact_distances(FOUR_POINTS)
+    with pytest.raises(ClusterError, match="eps"):
+        dbscan(dist, eps=0.0)
+    with pytest.raises(ClusterError, match="square"):
+        dbscan(dist[:, :3], eps=1.0)
+    # A feature matrix is not a distance matrix.
+    with pytest.raises(ClusterError, match="square"):
+        dbscan(np.zeros((4, 2)), eps=1.0)
+    with pytest.raises(ClusterError, match="non-empty 2-D"):
+        dbscan(np.zeros((0, 0)), eps=1.0)
+    with pytest.raises(ClusterError, match="non-empty 2-D"):
+        dbscan(dist[0], eps=1.0)
+    dist[1, 2] = np.nan
+    with pytest.raises(ClusterError, match="NaN"):
+        dbscan(dist, eps=1.0)
+
+
+def test_dbscan_memory_stays_below_four_bytes_per_cell():
+    # Given the matrix, dbscan allocates boolean masks and no float copy
+    # of it.  Poisson counts from four rate profiles, as the benchmark's
+    # mixture draws them; eps at the 5% distance quantile leaves clusters,
+    # border rows and noise.
+    n = 2_000
+    rng = np.random.default_rng(5)
+    rates = rng.gamma(1.0, 50.0, size=(4, 256))
+    scale = rng.gamma(5.0, 0.2, size=n)
+    X = rng.poisson(rates[np.arange(n) % 4] * scale[:, None]).astype(float)
+    dist = exact_distances(X)
+    eps = float(np.quantile(dist, 0.05))
+    tracemalloc.start()
+    try:
+        labels = dbscan(dist, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.max() >= 1 and (labels == -1).any()
+    assert peak < 4 * dist.size
 
 
 # --- GMM ---------------------------------------------------------------------
@@ -820,7 +860,7 @@ def test_ch_worked_example_exact():
 def test_silhouette_worked_example():
     expected = ((9.5 / 10.5) + (8.5 / 9.5)) / 2  # hand-computed, symmetric
     assert expected == pytest.approx(0.89974937, abs=5e-9)
-    assert silhouette(FOUR_POINTS, AABB) == pytest.approx(expected, rel=1e-12)
+    assert silhouette(exact_distances(FOUR_POINTS), AABB) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ch_singleton_clusters_give_infinity():
@@ -854,44 +894,47 @@ def test_ch_counts_non_empty_clusters():
 
 def test_silhouette_singleton_convention():
     X = np.array([[0.0], [10.0], [11.0]])
-    got = silhouette(X, np.array([0, 1, 1]))
+    got = silhouette(exact_distances(X), np.array([0, 1, 1]))
     assert got == pytest.approx(oracle_silhouette(X.tolist(), [0, 1, 1]), rel=1e-12)
 
 
 def test_silhouette_excludes_noise():
     X = np.array([[0.0], [1.0], [10.0], [11.0], [500.0]])
     noisy = np.array([0, 0, 1, 1, -1])
-    clean = silhouette(FOUR_POINTS, AABB)
-    assert silhouette(X, noisy) == pytest.approx(clean, rel=1e-12)
+    clean = silhouette(exact_distances(FOUR_POINTS), AABB)
+    assert silhouette(exact_distances(X), noisy) == pytest.approx(clean, rel=1e-12)
 
 
 def test_silhouette_errors():
     with pytest.raises(ClusterError):
-        silhouette(FOUR_POINTS, np.array([0, 0, 0, 0]))
+        silhouette(exact_distances(FOUR_POINTS), np.array([0, 0, 0, 0]))
     X = np.array([[0.0], [5.0], [9.0]])
     with pytest.raises(ClusterError):
-        silhouette(X, np.array([0, 1, 2]))  # all singletons
+        silhouette(exact_distances(X), np.array([0, 1, 2]))  # all singletons
 
 
 def test_partition_label_validation():
     noisy = np.array([0, 0, 1, 1, -1])
     X = np.vstack([FOUR_POINTS, [[500.0]]])
-    for index in (calinski_harabasz, silhouette):
+    for index, data in (
+        (calinski_harabasz, FOUR_POINTS),
+        (silhouette, exact_distances(FOUR_POINTS)),
+    ):
         with pytest.raises(ClusterError, match="shape"):
-            index(FOUR_POINTS, np.array([0, 0, 1]))
+            index(data, np.array([0, 0, 1]))
         with pytest.raises(ClusterError, match="shape"):
-            index(FOUR_POINTS, AABB[:, None])
+            index(data, AABB[:, None])
         # Fractional or boolean labels are rejected, not truncated.
         with pytest.raises(ClusterError, match="integers"):
-            index(FOUR_POINTS, np.array([0, 0.5, 1, 1]))
+            index(data, np.array([0, 0.5, 1, 1]))
         with pytest.raises(ClusterError, match="integers"):
-            index(FOUR_POINTS, AABB.astype(bool))
+            index(data, AABB.astype(bool))
         # Several bad rows: the message names the first.
         with pytest.raises(ClusterError, match=r"^row 2: label -5 below -1$"):
-            index(FOUR_POINTS, np.array([0, -1, -5, -2]))
-        assert index(FOUR_POINTS, AABB.tolist()) == index(FOUR_POINTS, AABB)
+            index(data, np.array([0, -1, -5, -2]))
+        assert index(data, AABB.tolist()) == index(data, AABB)
     # -1 is noise: silhouette leaves it out, Calinski-Harabasz rejects it.
-    assert silhouette(X, noisy) == silhouette(FOUR_POINTS, AABB)
+    assert silhouette(exact_distances(X), noisy) == silhouette(exact_distances(FOUR_POINTS), AABB)
     with pytest.raises(ClusterError, match="noise"):
         calinski_harabasz(X, noisy)
 
@@ -899,15 +942,22 @@ def test_partition_label_validation():
 def test_silhouette_rejects_misshapen_dist():
     X = np.array([[0.0], [1.0], [10.0], [11.0], [500.0]])
     noisy = np.array([0, 0, 1, 1, -1])
-    with pytest.raises(ClusterError, match="distance matrix"):
-        silhouette(X, noisy, dist=np.zeros((5, 4)))
-    # The matrix covers X's rows before the noise filter, not after it.
-    with pytest.raises(ClusterError, match="distance matrix"):
-        silhouette(X, noisy, dist=exact_distances(X[:4]))
-    assert silhouette(X, noisy, dist=exact_distances(X)) == silhouette(X, noisy)
+    dist = exact_distances(X)
+    with pytest.raises(ClusterError, match="square"):
+        silhouette(dist[:, :4], noisy)
+    with pytest.raises(ClusterError, match="square"):
+        silhouette(X, noisy)  # a feature matrix is not a distance matrix
+    with pytest.raises(ClusterError, match="non-empty 2-D"):
+        silhouette(np.zeros((0, 0)), noisy[:0])
+    # The matrix covers the rows before the noise filter, not after it.
+    with pytest.raises(ClusterError, match="shape"):
+        silhouette(exact_distances(X[:4]), noisy)
+    dist[4, 0] = np.inf
+    with pytest.raises(ClusterError, match="infinity"):
+        silhouette(dist, noisy)
 
 
-def test_silhouette_with_dist_matches_without():
+def test_silhouette_ignores_noise_rows_and_matches_oracle():
     rng = np.random.default_rng(77)
     for trial in range(200):
         n = int(rng.integers(4, 40))
@@ -921,14 +971,12 @@ def test_silhouette_with_dist_matches_without():
         remap = {c: i for i, c in enumerate(present)}
         assign = np.array([remap.get(int(v), -1) for v in labels])
         try:
-            want = silhouette(X, assign)
+            want = silhouette(exact_distances(X), assign)
         except ClusterError:
-            with pytest.raises(ClusterError):
-                silhouette(X, assign, dist=exact_distances(X))
             continue
-        assert silhouette(X, assign, dist=exact_distances(X)) == want
         keep = labels != -1
-        assert silhouette(X[keep], assign[keep]) == want  # noise rows change nothing
+        # Noise rows change nothing.
+        assert silhouette(exact_distances(X[keep]), assign[keep]) == want
         if keep.all():
             assert want == pytest.approx(
                 oracle_silhouette(X.tolist(), assign.tolist()), rel=1e-9, abs=1e-12
@@ -980,7 +1028,7 @@ def test_validity_indices_match_oracles_on_random_data():
         ch = calinski_harabasz(X, labels)
         ch_ref = oracle_ch(X.tolist(), labels.tolist())
         assert ch == pytest.approx(ch_ref, rel=1e-9)
-        sil = silhouette(X, labels)
+        sil = silhouette(exact_distances(X), labels)
         sil_ref = oracle_silhouette(X.tolist(), labels.tolist())
         assert sil == pytest.approx(sil_ref, rel=1e-9, abs=1e-12)
 

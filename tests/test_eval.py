@@ -222,7 +222,7 @@ def test_pooled_metrics_equal_metrics_of_sums():
     for g, w in zip(got, want):
         assert (g is None and w is None) or abs(g - w) <= 1e-12
     row = ReportRow(kind="decision_tree", folds=folds)
-    assert (row.accuracy, row.tpr, row.tnr) == got
+    assert aggregate_metrics(row.folds) == got
 
 
 # --- plain pipeline ----------------------------------------------------------
@@ -232,7 +232,7 @@ def test_plain_pipeline_separable():
     ds = two_blob_dataset(1)
     for k in (2, 10):
         report = run_plain_pipeline(ds, [LR], k=k, seed=4)
-        assert report.rows[0].accuracy == 1.0
+        assert aggregate_metrics(report.rows[0].folds)[0] == 1.0
         assert report.fold_count == k
         assert len(report.rows[0].folds) == k
 
@@ -246,7 +246,7 @@ def test_plain_pipeline_null_labels_near_chance():
         rng.shuffle(labels)
         ds = make_ds(X, labels)
         report = run_plain_pipeline(ds, [ClassifierSpec(kind="gaussian_nb")], k=5, seed=seed)
-        accs.append(report.rows[0].accuracy)
+        accs.append(aggregate_metrics(report.rows[0].folds)[0])
     assert 0.35 <= float(np.mean(accs)) <= 0.65
 
 
@@ -275,7 +275,10 @@ def test_clustered_pipeline_beats_plain_on_four_blobs():
         ds = four_blob_dataset(seed, per=40)
         plain = run_plain_pipeline(ds, [LR], k=5, seed=seed)
         clustered = run_clustered_pipeline(ds, [LR], cluster_k=2, k=5, seed=seed)
-        gaps.append(clustered.rows[0].accuracy - plain.rows[0].accuracy)
+        gaps.append(
+            aggregate_metrics(clustered.rows[0].folds)[0]
+            - aggregate_metrics(plain.rows[0].folds)[0]
+        )
     assert float(np.mean(gaps)) >= 0.10
 
 
@@ -309,7 +312,7 @@ def test_single_class_cluster_constant_model():
     y = np.array([0] * 12 + [1] * 12 + [0] * 12)
     ds = make_ds(X, y)
     report = run_clustered_pipeline(ds, [LR], cluster_k=2, k=3, seed=2)
-    assert report.rows[0].tnr == 1.0  # far benign rows all correct
+    assert aggregate_metrics(report.rows[0].folds)[2] == 1.0  # far benign rows all correct
 
 
 def test_empty_cluster_rerouting_logged(caplog):
@@ -576,33 +579,36 @@ def test_comparison_shares_one_distance_matrix(monkeypatch):
     ds = four_blob_dataset(3, per=12)
     outliers = [[55.0, 40.0], [-60.0, 10.0], [105.0, -30.0]]
     X = np.vstack([ds.features, outliers])
-    built, scored = [], []
+    built, scored, clustered = [], [], []
 
     def counting_distances(Z):
         built.append(clustering.exact_distances(Z))
         return built[-1]
 
-    def recording_silhouette(Z, labels, dist=None):
-        scored.append((Z, labels, dist))
-        return clustering.silhouette(Z, labels, dist=dist)
+    def recording_silhouette(dist, labels):
+        scored.append((dist, labels))
+        return clustering.silhouette(dist, labels)
+
+    def recording_dbscan(dist, eps):
+        clustered.append((dist, eps))
+        return clustering.dbscan(dist, eps)
 
     monkeypatch.setattr(evaluate, "exact_distances", counting_distances)
     monkeypatch.setattr(evaluate, "silhouette", recording_silhouette)
+    monkeypatch.setattr(evaluate, "dbscan", recording_dbscan)
     monkeypatch.setitem(evaluate.DEFAULT_GRIDS, "dbscan", (0.3, 0.6, 1.0, 3.0))
     rows = compare_clusterings(X, seed=2, standardize=True)
     assert len(built) == 1
     assert len(scored) == len(rows) == 20
-    assert all(dist is built[0] for _, _, dist in scored)
-    for row, (Z, labels, _) in zip(rows, scored):
-        try:
-            fresh = clustering.silhouette(Z, labels)
-        except ClusterError:
-            fresh = None
-        assert row.silhouette == fresh
+    assert [eps for _, eps in clustered] == [0.3, 0.6, 1.0, 3.0]
+    assert all(dist is built[0] for dist, _ in scored + clustered)
+    # The matrix is the standardized input's.
+    Z = (X - X.mean(axis=0)) / X.std(axis=0)
+    assert np.array_equal(built[0], clustering.exact_distances(Z))
     # The outliers are DBSCAN noise at the small eps values, where the
     # shared matrix goes through silhouette's noise filter.
     assert any(
-        r.silhouette is not None for r, (_, a, _) in zip(rows, scored) if -1 in a
+        r.silhouette is not None for r, (_, a) in zip(rows, scored) if -1 in a
     )
 
     built.clear()
@@ -669,7 +675,7 @@ def test_report_csv_layout():
 def test_report_renders_undefined_marker():
     folds = (ConfusionCounts(tn=3, fp=1), ConfusionCounts(tn=2))
     row = ReportRow(kind="gaussian_nb", folds=folds)
-    assert row.tpr is None
+    assert aggregate_metrics(row.folds)[1] is None
     report = EvalReport(rows=(row,), fold_count=2, seed=0)
     assert f",{UNDEFINED}," in report_csv(report)
     assert UNDEFINED in report_text(report)

@@ -17,6 +17,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -380,6 +381,22 @@ def test_spec_rejects_unknown_kind_and_keys():
 def test_spec_rejects_bad_hyperparameter_values(kind, hp, message):
     with pytest.raises(LearnError, match=re.escape(message)):
         ClassifierSpec(kind=kind, hyperparameters=hp)
+
+
+def test_spec_hyperparameters_are_read_only():
+    given = {"n_trees": 3}
+    spec = ClassifierSpec(kind="random_forest", hyperparameters=given)
+    with pytest.raises(TypeError):
+        spec.hyperparameters["n_trees"] = 0
+    with pytest.raises(TypeError):
+        del spec.hyperparameters["n_trees"]
+    given["n_trees"] = 0  # the spec holds its own copy
+    assert spec.resolved()["n_trees"] == 3
+    assert spec == ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": 3})
+    reseeded = replace(spec, seed=7)
+    assert reseeded.hyperparameters == {"n_trees": 3} and reseeded.seed == 7
+    with pytest.raises(TypeError):
+        reseeded.hyperparameters["n_trees"] = 0
 
 
 def test_spec_accepts_numpy_numbers_and_null_defaults():

@@ -1,6 +1,7 @@
 """Label-oracle client: fixture replay, live HTTP shape, rate limiting."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -201,8 +202,11 @@ def test_rate_limit_spacing():
 
 
 def test_bad_rate_rejected():
-    with pytest.raises(OracleError, match="requests_per_minute"):
-        LabelOracle(base_url="https://x", api_key="k", requests_per_minute=0)
+    # NaN would make every wait comparison false, and inf a zero interval:
+    # both would turn rate limiting off.
+    for rate in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(OracleError, match="requests_per_minute"):
+            LabelOracle(base_url="https://x", api_key="k", requests_per_minute=rate)
 
 
 # --- relabel ----------------------------------------------------------------
