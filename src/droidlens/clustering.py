@@ -518,7 +518,9 @@ def dbscan(dist, eps: float) -> np.ndarray:
     unreached core, one numpy step per level over the core×core
     neighbour mask: O(n^2) numpy work in all, and one Python step per
     level, so a chain of cores n long takes n steps.  Memory beyond
-    the matrix is the n×n and core×core boolean masks.
+    the matrix is the n×n boolean mask plus, one after the other, the
+    core×core mask of the search and the non-core×core mask and
+    distances of the border step.
     """
     dist = _as_distances(dist)
     n = dist.shape[0]
@@ -542,12 +544,17 @@ def dbscan(dist, eps: float) -> np.ndarray:
             labels[core_idx[frontier]] = k
             frontier = np.flatnonzero(linked[frontier].any(axis=0) & unreached)
         k += 1
+    del linked
 
     if k:
-        border = np.flatnonzero(~core & within[:, core_idx].any(axis=1))
-        cols = np.ix_(border, core_idx)
+        candidates = np.flatnonzero(~core)
+        reach = within[np.ix_(candidates, core_idx)]
+        hit = reach.any(axis=1)
+        border, reach = candidates[hit], reach[hit]
+        gaps = dist[np.ix_(border, core_idx)]
+        gaps[~reach] = np.inf
         # argmin takes the first minimum: ties go to the lowest core row.
-        nearest = np.where(within[cols], dist[cols], np.inf).argmin(axis=1)
+        nearest = gaps.argmin(axis=1)
         labels[border] = labels[core_idx[nearest]]
 
     return labels

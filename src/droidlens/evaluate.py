@@ -237,6 +237,7 @@ def run_clustered_pipeline(
                     "fold %d cluster %d: minority class too small to oversample", i, c
                 )
             cluster_data[c] = sub
+        del train  # nothing reads it past here; its rows are freed before any fit
         for s, spec in enumerate(specs):
             preds = np.zeros(test.n, dtype=np.int64)
             for c in non_empty:

@@ -207,17 +207,28 @@ _ARMIJO = 0.01  # accept a step that gains this share of the predicted decrease
 _FLAT = 1e-8  # curvature below this share of H's largest counts as none
 
 
-def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve H·p = −grad for a positive semi-definite H.  When Cholesky
-    finds H singular or nearly so (l2 = 0 with collinear columns, or no
-    active SVM rows), take the least-norm solution over the eigenvectors
-    whose curvature is not flat instead of a step of rounding noise."""
-    try:
-        smallest_pivot = np.linalg.cholesky(H).diagonal().min()
-        if smallest_pivot**2 > _FLAT * H.diagonal().max():
-            return np.linalg.solve(H, -grad)
-    except np.linalg.LinAlgError:
-        pass
+def _newton_direction(H: np.ndarray, grad: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve H·p = −grad for the bordered Hessian, whose weight block
+    carries ``ridge`` = 2·l2 on its diagonal.  Its Cholesky pivots² are
+    at least the ridge, and the bias's is the Schur complement
+    s = 1/(H⁻¹)_dd, so one LU solve for [−grad, e_d] gives p and s.
+    Where either is below ``_FLAT`` of H's largest diagonal entry, or H
+    is exactly singular (no SVM row inside the margin), take the
+    least-norm solution over the eigenvectors whose curvature is not
+    flat instead of a step of rounding noise."""
+    flat = _FLAT * float(H.diagonal().max())
+    if ridge > flat:
+        rhs = np.zeros((len(grad), 2))
+        rhs[:, 0] = -grad
+        rhs[-1, 1] = 1.0
+        try:
+            step, bias_column = np.linalg.solve(H, rhs).T
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            inverse_s = float(bias_column[-1])
+            if 0.0 < inverse_s and inverse_s * flat < 1.0:
+                return step
     vals, vecs = np.linalg.eigh(H)
     keep = vals > _FLAT * max(vals[-1], 0.0)
     return -(vecs[:, keep] @ ((vecs[:, keep].T @ grad) / vals[keep]))
@@ -225,8 +236,7 @@ def _newton_direction(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def _row_space_direction(Z: np.ndarray, h: np.ndarray, lam: float, grad: np.ndarray):
     """The bordered Newton direction for n < d rows through one n×n
-    solve, or None where ``_newton_direction``'s Cholesky gate could
-    fail.
+    solve, or None where ``_newton_direction``'s gate could fail.
 
     With S = √(h/n)·Z the weight block is A = SᵀS + 2·l2·I, and
     A⁻¹v = (v − Sᵀ·K⁻¹·S·v) / (2·l2) with K = SSᵀ + 2·l2·I_n (Woodbury).
@@ -290,7 +300,6 @@ def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
     curve = [current]
     grad = np.empty(d + 1)
     H = None
-    block = max(1, (1 << 14) // max(d, 1))  # rows per Gram update: 128 kB
     for _ in range(int(hp["max_iter"])):
         grad[:d] = Z.T @ g / n + 2.0 * lam * w
         grad[d] = float(g.sum()) / n
@@ -300,15 +309,13 @@ def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
         if p is None:
             if H is None:
                 H = np.empty((d + 1, d + 1))
-            H[:d, :d] = 0.0
-            np.fill_diagonal(H[:d, :d], 2.0 * lam)
-            root_h = np.sqrt(h / n)
-            for r0 in range(0, n, block):
-                S = Z[r0 : r0 + block] * root_h[r0 : r0 + block, None]
-                H[:d, :d] += S.T @ S  # a symmetric rank-k product
+            S = Z * np.sqrt(h / n)[:, None]
+            H[:d, :d] = S.T @ S  # a symmetric rank-k product
+            del S  # freed before the next iteration builds its own
+            H[:d, :d].flat[:: d + 1] += 2.0 * lam
             H[:d, d] = H[d, :d] = Z.T @ h / n
             H[d, d] = float(h.sum()) / n
-            p = _newton_direction(H, grad)
+            p = _newton_direction(H, grad, 2.0 * lam)
         predicted = float(grad @ p)
         t = 1.0
         while t > 1e-12:

@@ -880,7 +880,7 @@ def mutated_dex(draw):
         elif kind == "insns_size" and items:
             at = draw(st.sampled_from(items)) + 12
             old = struct.unpack_from("<I", data, at)[0]
-            new = draw(st.one_of(st.integers(max(old - 3, 0), old + 3),
+            new = draw(st.one_of(st.integers(max(old - 3, 0), min(old + 3, 2**32 - 1)),
                                  st.integers(0, 2**32 - 1)))
             struct.pack_into("<I", data, at, new)
         elif kind == "opcode" and units:

@@ -643,7 +643,7 @@ def test_newton_reaches_grad_tol_in_few_iterations(kind, blobs_most, counts_most
     spec = ClassifierSpec(kind=kind)
     hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
     cases = [(noisy_blob_dataset(seed), blobs_most) for seed in range(3)]
-    cases.append((_poisson_counts(7, 300, 64), counts_most))  # two Gram row blocks
+    cases.append((_poisson_counts(7, 300, 64), counts_most))  # the bordered solve: n > d
     wide_most = {"logistic_regression": 12, "linear_svm": 2}[kind]
     cases.append((_poisson_counts(7, 38, 256), wide_most))  # a triage fold: n < d
     for ds, most in cases:
@@ -662,33 +662,82 @@ def _bordered_hessian(Z, h, lam):
     return H
 
 
+def _draw_curvature(draw, rng, n):
+    """LR curvatures σ(z)(1 − σ(z)), SVM curvatures of 0 or 2 with some
+    rows outside the margin, or none at all (no SVM row inside the
+    margin)."""
+    curvature = draw(st.sampled_from(["logistic", "svm", "flat"]))
+    if curvature == "logistic":
+        sigma = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, n)))
+        return sigma * (1.0 - sigma)
+    if curvature == "svm":
+        h = 2.0 * (rng.random(n) < 0.6)
+        h[rng.integers(n)] = 0.0
+        return h
+    return np.zeros(n)
+
+
 @st.composite
 def wide_newton_problems(draw):
-    """Fewer rows than features, with LR curvatures σ(z)(1 − σ(z)),
-    SVM curvatures of 0 or 2 with some rows outside the margin, or
-    none at all (no SVM row inside the margin)."""
+    """Fewer rows than features, with each kind of curvature."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
     d = draw(st.integers(n + 1, 64))
     lam = draw(st.sampled_from([1e-4, 1e-1]))
     Z = rng.normal(0.0, 1.0, (n, d))
-    curvature = draw(st.sampled_from(["logistic", "svm", "flat"]))
-    if curvature == "logistic":
-        sigma = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, n)))
-        h = sigma * (1.0 - sigma)
-    elif curvature == "svm":
-        h = 2.0 * (rng.random(n) < 0.6)
-        h[rng.integers(n)] = 0.0
-    else:
-        h = np.zeros(n)
+    h = _draw_curvature(draw, rng, n)
     return Z, h, lam, rng.normal(0.0, 1.0, d + 1)
+
+
+@st.composite
+def tall_newton_problems(draw):
+    """At least as many rows as features, with each kind of curvature
+    and l2 = 0 among the penalties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 40))
+    n = draw(st.integers(d, 100))
+    lam = draw(st.sampled_from([0.0, 1e-4, 1e-1]))
+    Z = rng.normal(0.0, 1.0, (n, d))
+    h = _draw_curvature(draw, rng, n)
+    return Z, h, lam, rng.normal(0.0, 1.0, d + 1)
+
+
+def _cholesky_gated_direction(H, grad):
+    """The bordered direction as first written: solve H·p = −grad when
+    every Cholesky pivot² of H exceeds ``_FLAT`` of its largest diagonal
+    entry, else the least-norm step over the eigenvectors whose
+    curvature is not flat."""
+    try:
+        smallest_pivot = np.linalg.cholesky(H).diagonal().min()
+        if smallest_pivot**2 > learn._FLAT * H.diagonal().max():
+            return np.linalg.solve(H, -grad)
+    except np.linalg.LinAlgError:
+        pass
+    vals, vecs = np.linalg.eigh(H)
+    keep = vals > learn._FLAT * max(vals[-1], 0.0)
+    return -(vecs[:, keep] @ ((vecs[:, keep].T @ grad) / vals[keep]))
+
+
+@given(problem=tall_newton_problems())
+@settings(max_examples=300, deadline=None)
+def test_bordered_direction_equals_cholesky_gated_direction(problem):
+    # One LU solve gates on the ridge and the bias's Schur complement,
+    # which are the Cholesky pivots that can be small; l2 = 0 always
+    # takes the least-norm step, which equals the solve wherever the
+    # reference's gate passes.
+    Z, h, lam, grad = problem
+    H = _bordered_hessian(Z, h, lam)
+    want = _cholesky_gated_direction(H, grad)
+    got = learn._newton_direction(H, grad, 2.0 * lam)
+    assert np.all(np.isfinite(got))
+    assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
 
 
 @given(problem=wide_newton_problems())
 @settings(max_examples=300, deadline=None)
 def test_row_space_direction_equals_bordered_direction(problem):
     Z, h, lam, grad = problem
-    want = learn._newton_direction(_bordered_hessian(Z, h, lam), grad)
+    want = learn._newton_direction(_bordered_hessian(Z, h, lam), grad, 2.0 * lam)
     got = learn._row_space_direction(Z, h, lam, grad)
     if not h.any():
         # The bias has no curvature: the bordered solve's least-norm
@@ -706,18 +755,26 @@ def test_row_space_direction_equals_bordered_direction(problem):
 def test_wide_fits_skip_the_bordered_hessian(kind, monkeypatch):
     # The shape picks the path: a triage fold (38 rows, 256 features)
     # takes every direction from the n×n system, 300 rows × 64 features
-    # builds the bordered Hessian once per iteration.
-    calls = []
-    bordered = learn._newton_direction
-    monkeypatch.setattr(learn, "_newton_direction", lambda H, g: calls.append(1) or bordered(H, g))
+    # builds the bordered Hessian once per iteration.  Either way an
+    # iteration factorises one matrix, by one solve, and none by Cholesky.
+    calls = Counter()
+
+    def counted(name, function):
+        return lambda *args: calls.update([name]) or function(*args)
+
+    monkeypatch.setattr(learn, "_newton_direction", counted("bordered", learn._newton_direction))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     spec = ClassifierSpec(kind=kind)
     hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
     for (n, d), per_iteration in (((38, 256), 0), ((300, 64), 1)):
         calls.clear()
         ds = _poisson_counts(7, n, d)
         p = fit(spec, ds).params
+        iterations = len(p["loss_curve"]) - 1
         assert _check_linear_fit(kind, ds.features, ds.labels, hp, p) < hp["grad_tol"]
-        assert len(calls) == per_iteration * (len(p["loss_curve"]) - 1)
+        assert calls["bordered"] == per_iteration * iterations
+        assert calls["solve"] == iterations and calls["cholesky"] == 0
 
 
 def _more_features_than_rows():
