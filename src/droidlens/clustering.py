@@ -517,10 +517,11 @@ def dbscan(dist, eps: float) -> np.ndarray:
     Each component is found by a breadth-first search from its lowest
     unreached core, one numpy step per level over the core×core
     neighbour mask: O(n^2) numpy work in all, and one Python step per
-    level, so a chain of cores n long takes n steps.  Memory beyond
-    the matrix is the n×n boolean mask plus, one after the other, the
-    core×core mask of the search and the non-core×core mask and
-    distances of the border step.
+    level, so a chain of cores n long takes n steps.  A level ORs its
+    frontier's mask rows in chunks of about ``_TILE_ELEMENTS`` bytes.
+    Memory beyond the matrix is the n×n boolean mask plus, one after
+    the other, the core×core mask of the search and the non-core×core
+    mask and distances of the border step.
     """
     dist = _as_distances(dist)
     n = dist.shape[0]
@@ -534,6 +535,7 @@ def dbscan(dist, eps: float) -> np.ndarray:
     labels = np.full(n, -1, dtype=np.int64)
     linked = within[np.ix_(core_idx, core_idx)]
     unreached = np.ones(core_idx.size, dtype=bool)
+    chunk = max(1, _TILE_ELEMENTS // max(core_idx.size, 1))
     k = 0
     for start in range(core_idx.size):
         if not unreached[start]:
@@ -542,7 +544,10 @@ def dbscan(dist, eps: float) -> np.ndarray:
         while frontier.size:
             unreached[frontier] = False
             labels[core_idx[frontier]] = k
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unreached)
+            reach = np.zeros(core_idx.size, dtype=bool)
+            for c0 in range(0, frontier.size, chunk):
+                reach |= linked[frontier[c0 : c0 + chunk]].any(axis=0)
+            frontier = np.flatnonzero(reach & unreached)
         k += 1
     del linked
 

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .clustering import exact_distances
+from .clustering import _log_gaussian, exact_distances
 from .dataset import Dataset
 from .errors import LearnError
 from .rng import derive_rng
@@ -207,65 +207,60 @@ _ARMIJO = 0.01  # accept a step that gains this share of the predicted decrease
 _FLAT = 1e-8  # curvature below this share of H's largest counts as none
 
 
-def _newton_direction(H: np.ndarray, grad: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve H·p = −grad for the bordered Hessian, whose weight block
-    carries ``ridge`` = 2·l2 on its diagonal.  Its Cholesky pivots² are
-    at least the ridge, and the bias's is the Schur complement
-    s = 1/(H⁻¹)_dd, so one LU solve for [−grad, e_d] gives p and s.
-    Where either is below ``_FLAT`` of H's largest diagonal entry, or H
-    is exactly singular (no SVM row inside the margin), take the
-    least-norm solution over the eigenvectors whose curvature is not
-    flat instead of a step of rounding noise."""
-    flat = _FLAT * float(H.diagonal().max())
-    if ridge > flat:
-        rhs = np.zeros((len(grad), 2))
-        rhs[:, 0] = -grad
-        rhs[-1, 1] = 1.0
-        try:
-            step, bias_column = np.linalg.solve(H, rhs).T
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            inverse_s = float(bias_column[-1])
-            if 0.0 < inverse_s and inverse_s * flat < 1.0:
-                return step
-    vals, vecs = np.linalg.eigh(H)
-    keep = vals > _FLAT * max(vals[-1], 0.0)
-    return -(vecs[:, keep] @ ((vecs[:, keep].T @ grad) / vals[keep]))
+def _newton_direction(Z: np.ndarray, h: np.ndarray, lam: float, grad: np.ndarray) -> np.ndarray:
+    """Solve H·p = −grad for the Hessian H = [[A, c], [cᵀ, rᵀr]] of
+    weights and bias, where r = √(h/n), S = r·Z, A = SᵀS + 2·l2·I and
+    c = Sᵀr.
 
-
-def _row_space_direction(Z: np.ndarray, h: np.ndarray, lam: float, grad: np.ndarray):
-    """The bordered Newton direction for n < d rows through one n×n
-    solve, or None where ``_newton_direction``'s gate could fail.
-
-    With S = √(h/n)·Z the weight block is A = SᵀS + 2·l2·I, and
-    A⁻¹v = (v − Sᵀ·K⁻¹·S·v) / (2·l2) with K = SSᵀ + 2·l2·I_n (Woodbury).
-    The bias is eliminated through its Schur complement
-    s = Σh/n − cᵀA⁻¹c, where c = Zᵀh/n = Sᵀr for r = √(h/n), so
-    A⁻¹c = Sᵀ·K⁻¹·r and s = 2·l2·rᵀK⁻¹r, free of the cancellation
-    the difference would suffer.  One solve with K takes both S·g_w
-    and r.  Every Cholesky pivot² of A is at least 2·l2 and the
-    bordered matrix's last one is s, so requiring both above ``_FLAT``
-    of the largest diagonal entry keeps the gate's meaning; where it
-    declines, the caller builds the bordered matrix.
+    The bias is eliminated through its Schur complement s = rᵀr − cᵀA⁻¹c,
+    and A⁻¹ is applied through the smaller Gram matrix.  For n ≥ d one
+    solve with A against [g_w, c] gives A⁻¹g_w, A⁻¹c and s.  For n < d,
+    A⁻¹v = (v − Sᵀ·K⁻¹·S·v) / (2·l2) with K = SSᵀ + 2·l2·I_n (Woodbury),
+    so one solve with K against [S·g_w, r] gives them, and
+    s = 2·l2·rᵀK⁻¹r, free of the cancellation the difference would
+    suffer there.  Every Cholesky pivot² of A is at least 2·l2 and H's
+    last one is s, so the step is taken when both exceed ``_FLAT`` of
+    H's largest diagonal entry.  Otherwise, and always when l2 = 0, H
+    is built and the step is the least-norm solution over its
+    eigenvectors whose curvature is not flat, instead of a step of
+    rounding noise.
     """
     n, d = Z.shape
     r = np.sqrt(h / n)
     S = Z * r[:, None]
     ridge = 2.0 * lam
-    flat = _FLAT * max(ridge + float(np.einsum("ij,ij->j", S, S).max()), float(h.sum()) / n)
-    if not ridge > flat:
-        return None
-    K = S @ S.T
-    K.flat[:: n + 1] += ridge
-    gw = grad[:d]
-    a, e = np.linalg.solve(K, np.column_stack([S @ gw, r])).T  # K⁻¹·S·g_w, K⁻¹·r
-    schur = ridge * float(r @ e)
-    if not schur > flat:
-        return None
-    p_bias = (float(r @ a) - float(grad[d])) / schur  # (cᵀA⁻¹g_w − g_b) / s
-    # −A⁻¹g_w − p_bias·A⁻¹c
-    return np.append((S.T @ (a - ridge * p_bias * e) - gw) / ridge, p_bias)
+    rr = float(r @ r)
+    gw, gb = grad[:d], float(grad[d])
+    if n < d:
+        flat = _FLAT * max(ridge + float(np.einsum("ij,ij->j", S, S).max()), rr)
+        if ridge > flat:
+            K = S @ S.T
+            K.flat[:: n + 1] += ridge
+            a, e = np.linalg.solve(K, np.column_stack([S @ gw, r])).T  # K⁻¹·S·g_w, K⁻¹·r
+            schur = ridge * float(r @ e)
+            if schur > flat:
+                p_bias = (float(r @ a) - gb) / schur  # (cᵀA⁻¹g_w − g_b) / s
+                # −A⁻¹g_w − p_bias·A⁻¹c
+                return np.append((S.T @ (a - ridge * p_bias * e) - gw) / ridge, p_bias)
+    A = S.T @ S  # a symmetric rank-k product
+    A.flat[:: d + 1] += ridge
+    c = S.T @ r
+    # Freed before the solve copies A: with S still held, the allocator
+    # hands pages back and faults them in again on every call.
+    del S
+    if n >= d:
+        flat = _FLAT * max(float(A.diagonal().max(initial=ridge)), rr)
+        if ridge > flat:
+            a, e = np.linalg.solve(A, np.column_stack([gw, c])).T  # A⁻¹g_w, A⁻¹c
+            schur = rr - float(c @ e)
+            if schur > flat:
+                p_bias = (float(c @ a) - gb) / schur
+                return np.append(-a - p_bias * e, p_bias)
+    H = np.empty((d + 1, d + 1))
+    H[:d, :d], H[:d, d], H[d, :d], H[d, d] = A, c, c, rr
+    vals, vecs = np.linalg.eigh(H)
+    keep = vals > _FLAT * max(vals[-1], 0.0)
+    return -(vecs[:, keep] @ ((vecs[:, keep].T @ grad) / vals[keep]))
 
 
 def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
@@ -273,11 +268,7 @@ def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
     by Newton's method with Armijo backtracking.
 
     ``row_terms(z)`` gives each row's loss and its first and second
-    derivatives in z.  The Hessian is Zᵀ·diag(h)·Z/n + 2·l2·I with the
-    bias as a bordered last row and column, so no [Z | 1] copy is made.
-    With fewer rows than features and l2 > 0 the direction comes from
-    an n×n system instead (``_row_space_direction``), and the
-    (d+1)×(d+1) matrix is built only where that declines.
+    derivatives in z, from which ``_newton_direction`` takes the step.
     Each iteration tries the steps 1, 1/2, 1/4, ... along the Newton
     direction and takes the first that gains ``_ARMIJO`` of the decrease
     the gradient predicts.  It stops when the gradient norm falls below
@@ -299,23 +290,12 @@ def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
     current, g, h = objective(w, b)
     curve = [current]
     grad = np.empty(d + 1)
-    H = None
     for _ in range(int(hp["max_iter"])):
         grad[:d] = Z.T @ g / n + 2.0 * lam * w
         grad[d] = float(g.sum()) / n
         if math.sqrt(float(grad @ grad)) < hp["grad_tol"]:
             break
-        p = _row_space_direction(Z, h, lam, grad) if n < d and lam > 0 else None
-        if p is None:
-            if H is None:
-                H = np.empty((d + 1, d + 1))
-            S = Z * np.sqrt(h / n)[:, None]
-            H[:d, :d] = S.T @ S  # a symmetric rank-k product
-            del S  # freed before the next iteration builds its own
-            H[:d, :d].flat[:: d + 1] += 2.0 * lam
-            H[:d, d] = H[d, :d] = Z.T @ h / n
-            H[d, d] = float(h.sum()) / n
-            p = _newton_direction(H, grad, 2.0 * lam)
+        p = _newton_direction(Z, h, lam, grad)
         predicted = float(grad @ p)
         t = 1.0
         while t > 1e-12:
@@ -398,20 +378,9 @@ def _fit_gaussian_nb(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     return {"priors": priors, "means": means, "variances": variances}
 
 
-def _nb_log_posterior(params: dict, X: np.ndarray) -> np.ndarray:
-    out = np.empty((X.shape[0], 2))
-    for c in (0, 1):
-        var = params["variances"][c]
-        gap = X - params["means"][c]
-        out[:, c] = (
-            math.log(params["priors"][c])
-            - 0.5 * (np.log(2.0 * math.pi * var).sum() + ((gap * gap) / var).sum(axis=1))
-        )
-    return out
-
-
 def _predict_gaussian_nb(params: dict, X: np.ndarray) -> np.ndarray:
-    post = _nb_log_posterior(params, X)
+    post = _log_gaussian(X, params["means"], params["variances"])
+    post += np.log(params["priors"])
     return (post[:, 1] > post[:, 0]).astype(np.int64)  # tie goes to benign
 
 

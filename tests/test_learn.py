@@ -8,8 +8,8 @@ one-feature-at-a-time split search, per-row tree descent, and SMOTE's
 m×m×d neighbour table.  The linear models are held
 to their optimum instead: the gradient at the returned point, the
 halving-step descent they ran before, and the optimum found by Newton's
-method in 50-digit decimal arithmetic.  The n×n Newton direction taken
-when rows are fewer than features is held to the bordered solve.
+method in 50-digit decimal arithmetic.  The Newton direction is held to
+a Cholesky-gated solve of the bordered Hessian.
 """
 
 import decimal
@@ -653,12 +653,17 @@ def test_newton_reaches_grad_tol_in_few_iterations(kind, blobs_most, counts_most
 
 
 def _bordered_hessian(Z, h, lam):
-    """Zᵀ·diag(h)·Z/n + 2·l2·I, bordered by the unpenalised bias."""
+    """Zᵀ·diag(h)·Z/n + 2·l2·I, bordered by the unpenalised bias, as
+    SᵀS + 2·l2·I with S = r·Z for r = √(h/n), bordered by Sᵀr and rᵀr:
+    the arithmetic of the routine's least-norm step, so that where both
+    take that step they decompose the same matrix."""
     n, d = Z.shape
+    r = np.sqrt(h / n)
+    S = Z * r[:, None]
     H = np.empty((d + 1, d + 1))
-    H[:d, :d] = Z.T @ (Z * (h / n)[:, None]) + 2.0 * lam * np.eye(d)
-    H[:d, d] = H[d, :d] = Z.T @ h / n
-    H[d, d] = h.sum() / n
+    H[:d, :d] = S.T @ S + 2.0 * lam * np.eye(d)
+    H[:d, d] = H[d, :d] = S.T @ r
+    H[d, d] = r @ r
     return H
 
 
@@ -678,103 +683,95 @@ def _draw_curvature(draw, rng, n):
 
 
 @st.composite
-def wide_newton_problems(draw):
-    """Fewer rows than features, with each kind of curvature."""
+def newton_problems(draw):
+    """Tall and wide shapes, each kind of curvature, l2 = 0 among the
+    penalties, and sometimes a last column that nearly repeats the
+    first."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 40))
-    d = draw(st.integers(n + 1, 64))
-    lam = draw(st.sampled_from([1e-4, 1e-1]))
-    Z = rng.normal(0.0, 1.0, (n, d))
-    h = _draw_curvature(draw, rng, n)
-    return Z, h, lam, rng.normal(0.0, 1.0, d + 1)
-
-
-@st.composite
-def tall_newton_problems(draw):
-    """At least as many rows as features, with each kind of curvature
-    and l2 = 0 among the penalties."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 40))
-    n = draw(st.integers(d, 100))
+    n = draw(st.integers(2, 100))
+    d = draw(st.integers(1, 64))
     lam = draw(st.sampled_from([0.0, 1e-4, 1e-1]))
     Z = rng.normal(0.0, 1.0, (n, d))
+    noise = draw(st.sampled_from([None, 1e-2, 1e-10]))
+    if noise is not None and d > 1:
+        Z[:, -1] = Z[:, 0] + noise * rng.normal(0.0, 1.0, n)
     h = _draw_curvature(draw, rng, n)
     return Z, h, lam, rng.normal(0.0, 1.0, d + 1)
+
+
+def _least_norm_direction(H, grad):
+    """The least-norm solution of H·p = −grad over the eigenvectors
+    whose curvature is above ``_FLAT`` of the largest."""
+    vals, vecs = np.linalg.eigh(H)
+    keep = vals > learn._FLAT * max(vals[-1], 0.0)
+    return -(vecs[:, keep] @ ((vecs[:, keep].T @ grad) / vals[keep]))
 
 
 def _cholesky_gated_direction(H, grad):
     """The bordered direction as first written: solve H·p = −grad when
     every Cholesky pivot² of H exceeds ``_FLAT`` of its largest diagonal
-    entry, else the least-norm step over the eigenvectors whose
-    curvature is not flat."""
+    entry, else the least-norm step."""
     try:
         smallest_pivot = np.linalg.cholesky(H).diagonal().min()
         if smallest_pivot**2 > learn._FLAT * H.diagonal().max():
             return np.linalg.solve(H, -grad)
     except np.linalg.LinAlgError:
         pass
-    vals, vecs = np.linalg.eigh(H)
-    keep = vals > learn._FLAT * max(vals[-1], 0.0)
-    return -(vecs[:, keep] @ ((vecs[:, keep].T @ grad) / vals[keep]))
+    return _least_norm_direction(H, grad)
 
 
-@given(problem=tall_newton_problems())
-@settings(max_examples=300, deadline=None)
-def test_bordered_direction_equals_cholesky_gated_direction(problem):
-    # One LU solve gates on the ridge and the bias's Schur complement,
-    # which are the Cholesky pivots that can be small; l2 = 0 always
-    # takes the least-norm step, which equals the solve wherever the
-    # reference's gate passes.
+@given(problem=newton_problems())
+@settings(max_examples=500, deadline=None)
+def test_newton_direction_equals_cholesky_gated_direction(problem):
+    # The routine gates on the ridge and the bias's Schur complement,
+    # which are the Cholesky pivots that can be small, and applies the
+    # weight block's inverse through the smaller Gram matrix.  l2 = 0
+    # always takes the least-norm step.  That is the solve wherever no
+    # eigenvalue is flat; where one is, a pivot² can still pass the
+    # reference's gate (near-square shapes, near-collinear columns), so
+    # the least-norm step is the reference there.  Each side solves a
+    # system whose condition number stays below about 1e8 here, so each
+    # direction carries a relative error near 1e-8 at worst.
     Z, h, lam, grad = problem
     H = _bordered_hessian(Z, h, lam)
-    want = _cholesky_gated_direction(H, grad)
-    got = learn._newton_direction(H, grad, 2.0 * lam)
+    vals = np.linalg.eigvalsh(H)
+    if lam == 0.0 and not vals[0] > learn._FLAT * vals[-1]:
+        want = _least_norm_direction(H, grad)
+    else:
+        want = _cholesky_gated_direction(H, grad)
+    got = learn._newton_direction(Z, h, lam, grad)
     assert np.all(np.isfinite(got))
-    assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
-
-
-@given(problem=wide_newton_problems())
-@settings(max_examples=300, deadline=None)
-def test_row_space_direction_equals_bordered_direction(problem):
-    Z, h, lam, grad = problem
-    want = learn._newton_direction(_bordered_hessian(Z, h, lam), grad, 2.0 * lam)
-    got = learn._row_space_direction(Z, h, lam, grad)
-    if not h.any():
-        # The bias has no curvature: the bordered solve's least-norm
-        # step is the only defined one, so the n×n path must decline.
-        assert got is None and np.all(np.isfinite(want))
-        return
-    # Both solve a system whose condition number stays below about
-    # 1e8 here, so each direction carries a relative error near 1e-8
-    # at worst (about 1e-10 in practice).
-    assert got is not None
     assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind", LINEAR_KINDS)
 def test_wide_fits_skip_the_bordered_hessian(kind, monkeypatch):
-    # The shape picks the path: a triage fold (38 rows, 256 features)
-    # takes every direction from the n×n system, 300 rows × 64 features
-    # builds the bordered Hessian once per iteration.  Either way an
-    # iteration factorises one matrix, by one solve, and none by Cholesky.
+    # The shape picks the Gram matrix: a triage fold (38 rows, 256
+    # features) solves an n×n system, 300 rows × 64 features the d×d
+    # weight block.  Either way an iteration factorises one matrix, by
+    # one solve, and never decomposes the bordered Hessian.  With
+    # l2 = 0 nothing lifts the flat directions, so every step is the
+    # least-norm one from that Hessian's eigendecomposition.
     calls = Counter()
 
     def counted(name, function):
         return lambda *args: calls.update([name]) or function(*args)
 
-    monkeypatch.setattr(learn, "_newton_direction", counted("bordered", learn._newton_direction))
-    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
-    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
-    spec = ClassifierSpec(kind=kind)
-    hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
-    for (n, d), per_iteration in (((38, 256), 0), ((300, 64), 1)):
+    for name in ("solve", "eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    cases = (
+        (1e-4, _poisson_counts(7, 38, 256), "solve"),
+        (1e-4, _poisson_counts(7, 300, 64), "solve"),
+        (0.0, noisy_blob_dataset(0), "eigh"),
+    )
+    for l2, ds, routine in cases:
         calls.clear()
-        ds = _poisson_counts(7, n, d)
+        spec = ClassifierSpec(kind=kind, hyperparameters={"l2": l2})
+        hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
         p = fit(spec, ds).params
         iterations = len(p["loss_curve"]) - 1
         assert _check_linear_fit(kind, ds.features, ds.labels, hp, p) < hp["grad_tol"]
-        assert calls["bordered"] == per_iteration * iterations
-        assert calls["solve"] == iterations and calls["cholesky"] == 0
+        assert iterations > 0 and calls == Counter({routine: iterations})
 
 
 def _more_features_than_rows():
