@@ -683,13 +683,17 @@ def _draw_curvature(draw, rng, n):
 
 
 @st.composite
-def newton_problems(draw):
-    """Tall and wide shapes, each kind of curvature, l2 = 0 among the
-    penalties, and sometimes a last column that nearly repeats the
-    first."""
+def newton_problems(draw, wide):
+    """Fewer rows than features when ``wide``, else at least as many;
+    each kind of curvature, l2 = 0 among the penalties, and sometimes a
+    last column that nearly repeats the first."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 100))
-    d = draw(st.integers(1, 64))
+    if wide:
+        n = draw(st.integers(2, 40))
+        d = draw(st.integers(n + 1, 64))
+    else:
+        d = draw(st.integers(1, 64))
+        n = draw(st.integers(d, 100))
     lam = draw(st.sampled_from([0.0, 1e-4, 1e-1]))
     Z = rng.normal(0.0, 1.0, (n, d))
     noise = draw(st.sampled_from([None, 1e-2, 1e-10]))
@@ -720,9 +724,7 @@ def _cholesky_gated_direction(H, grad):
     return _least_norm_direction(H, grad)
 
 
-@given(problem=newton_problems())
-@settings(max_examples=500, deadline=None)
-def test_newton_direction_equals_cholesky_gated_direction(problem):
+def _assert_newton_direction_matches_bordered_hessian(problem):
     # The routine gates on the ridge and the bias's Schur complement,
     # which are the Cholesky pivots that can be small, and applies the
     # weight block's inverse through the smaller Gram matrix.  l2 = 0
@@ -742,6 +744,22 @@ def test_newton_direction_equals_cholesky_gated_direction(problem):
     got = learn._newton_direction(Z, h, lam, grad)
     assert np.all(np.isfinite(got))
     assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+
+
+@given(problem=newton_problems(wide=False))
+@settings(max_examples=300, deadline=None)
+def test_bordered_direction_equals_cholesky_gated_direction(problem):
+    # At least as many rows as features: the d×d weight block.
+    _assert_newton_direction_matches_bordered_hessian(problem)
+
+
+@given(problem=newton_problems(wide=True))
+@settings(max_examples=300, deadline=None)
+def test_row_space_direction_equals_bordered_direction(problem):
+    # Fewer rows than features: the n×n system through Woodbury, held
+    # to the same bordered reference, with no curvature on the bias
+    # among the draws.
+    _assert_newton_direction_matches_bordered_hessian(problem)
 
 
 @pytest.mark.parametrize("kind", LINEAR_KINDS)
