@@ -7,9 +7,11 @@ with -1 marking DBSCAN noise; k-means and the mixture return their
 model alongside it.  Agglomerative instead returns the ward hierarchy
 as its list of merges, and ``cut`` reads the partition at any k off
 it.  DBSCAN and silhouette read an n×n distance matrix, so one
-``exact_distances(X)`` serves every call on one X.  Everything is
-deterministic given (X, params, seed): ties break toward the lowest
-index, and all randomness flows through derived generator streams.
+``exact_distances(X)`` serves every call on one X; it takes one Gram
+product on integer counts, where that is exact, and direct differences
+on anything else.  Everything is deterministic given (X, params,
+seed): ties break toward the lowest index, and all randomness flows
+through derived generator streams.
 Features are consumed raw; callers standardize beforehand if they want
 scaled distances.
 """
@@ -71,11 +73,21 @@ _TILE_ELEMENTS = 1 << 16
 
 
 def exact_distances(X: np.ndarray) -> np.ndarray:
-    """n×n Euclidean distances by direct differences.
+    """n×n Euclidean distances, exact to the rounding of one sqrt.
 
-    Slower than the expanded form but free of its cancellation error;
-    the validity indices are tested against oracles at 1e-9 relative,
-    which the expanded form cannot hold for near-coincident points.
+    Integer-valued X, such as opcode counts, with 4·d·max|x|² <= 2^53
+    takes the expanded form ‖x‖² + ‖y‖² − 2·x·y from one Gram product,
+    scaled and shifted in place in the n×n output.  Every product,
+    partial sum and final square is then an integer below 2^53, so each
+    entry is the exact squared distance whatever order BLAS sums in:
+    the same bits, symmetric with a zero diagonal, that direct
+    differences give.
+
+    Any other input (fractional, standardized, NaN) takes direct
+    differences.  Slower than the expanded form but free of its
+    cancellation error; the validity indices are tested against oracles
+    at 1e-9 relative, which the expanded form cannot hold for
+    near-coincident fractional points.
 
     The matrix is filled in tile×tile blocks on or above the diagonal,
     each mirrored into the lower triangle; (x-y)^2 == (y-x)^2 exactly,
@@ -86,6 +98,14 @@ def exact_distances(X: np.ndarray) -> np.ndarray:
     the tile, so entries do not depend on it.
     """
     n, d = X.shape
+    limit = math.isqrt(2**53 // (4 * max(d, 1)))
+    if np.abs(X).max(initial=0.0) <= limit and np.array_equal(X, np.rint(X)):
+        out = X @ X.T
+        sq = out.diagonal().copy()
+        out *= -2.0
+        out += sq[:, None]
+        out += sq[None, :]
+        return np.sqrt(out, out=out)
     tile = max(1, math.isqrt(_TILE_ELEMENTS // max(d, 1)))
     out = np.empty((n, n))
     for r0 in range(0, n, tile):

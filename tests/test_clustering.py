@@ -996,11 +996,22 @@ def _distance_problems(draw):
     d = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    X = rng.normal(0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, d))
+    if draw(st.booleans()):
+        X = rng.normal(0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, d))
+        jitter = [-1e-9, 0.0, 1e-9]
+    else:
+        # Signed integers, the largest magnitude present: at the Gram
+        # path's bound it is taken, one above it is not.
+        limit = math.isqrt(2**53 // (4 * d))
+        top = draw(st.sampled_from([1, 3, 1000, limit, limit + 1]))
+        X = rng.integers(-top, top + 1, (n, d)).astype(float)
+        X[rng.integers(n), rng.integers(d)] = draw(st.sampled_from([top, -top]))
+        jitter = [0.0]
     if n > 1 and draw(st.booleans()):
-        # Near-coincident rows: where the expanded form cancels badly.
+        # Near-coincident rows, where the expanded form cancels badly, or
+        # duplicate integer rows.
         twins = rng.integers(0, n, size=n // 2 + 1)
-        X[twins] = X[0] + rng.choice([-1e-9, 0.0, 1e-9], size=(twins.size, d))
+        X[twins] = X[0] + rng.choice(jitter, size=(twins.size, d))
     # A small tile (its tile²·d element budget) or the default one.
     tile = draw(st.one_of(st.none(), st.integers(1, 9)))
     return X, clustering._TILE_ELEMENTS if tile is None else tile * tile * d
@@ -1015,6 +1026,42 @@ def test_exact_distances_match_reference_bit_for_bit(problem):
     assert np.array_equal(got, _reference_exact_dists(X))
     assert np.array_equal(got, got.T)
     assert not got.diagonal().any()
+
+
+@pytest.mark.parametrize("n, d", [(0, 4), (3, 0), (5, 1), (40, 256)])
+def test_exact_distances_takes_the_gram_product_only_within_the_bound(n, d):
+    # The tile loop reads _TILE_ELEMENTS and fails on None, so a call that
+    # returns took the Gram product.
+    limit = math.isqrt(2**53 // (4 * max(d, 1)))
+    X = np.random.default_rng(n).integers(-limit, limit + 1, (n, d)).astype(float)
+    X[:, :1] = -limit
+    with mock.patch.object(clustering, "_TILE_ELEMENTS", None):
+        assert np.array_equal(exact_distances(X), _reference_exact_dists(X))
+        if X.size:
+            above = np.where(X == -limit, -limit - 1.0, X)
+            for outside in (X + 0.5, above, np.where(X == -limit, np.nan, X)):
+                with pytest.raises(TypeError):
+                    exact_distances(outside)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_exact_distances_memory_stays_below_8_5_bytes_per_cell(standardize):
+    # The Gram product scales and shifts its one n×n output in place; the
+    # tile loop adds only a cache-sized block.  Poisson counts as the
+    # benchmark's mixture draws them, raw or z-scored.
+    n = 2_000
+    rng = np.random.default_rng(5)
+    rates = rng.gamma(1.0, 50.0, size=(4, 256))
+    X = rng.poisson(rates[np.arange(n) % 4]).astype(float)
+    if standardize:
+        X = (X - X.mean(axis=0)) / np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)
+    tracemalloc.start()
+    try:
+        dist = exact_distances(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * dist.size
 
 
 def _random_partition(rng, n, k):

@@ -326,11 +326,20 @@ def test_neighbor_table_matches_reference(problem):
     assert np.array_equal(learn._neighbor_table(M, k), _reference_neighbor_table(M, k))
 
 
-@pytest.mark.parametrize("m", [7, 50, 386])
-def test_neighbor_table_matches_reference_on_counts(m):
+@pytest.mark.parametrize(
+    "m, d, top",
+    [(7, 64, None), (50, 64, None), (386, 64, None), (90, 256, 2_965_820), (90, 256, 2_965_821)],
+    ids=["7", "50", "386", "256-at-bound", "256-above-bound"],
+)
+def test_neighbor_table_matches_reference_on_counts(m, d, top):
     # Poisson opcode-like counts; m = 386 spans several ranking blocks.
+    # At d = 256, 2,965,820 is the largest count exact_distances takes
+    # through its Gram product; one more sends it to direct differences.
     rng = np.random.default_rng(m)
-    M = rng.poisson(rng.gamma(1.0, 5.0, 64), size=(m, 64)).astype(np.float64)
+    M = rng.poisson(rng.gamma(1.0, 5.0, d), size=(m, d)).astype(np.float64)
+    if top is not None:
+        M *= top // M.max()
+        M[1, 0] = top
     M[m // 2] = M[0]
     assert np.array_equal(learn._neighbor_table(M, 5), _reference_neighbor_table(M, 5))
 
