@@ -11,9 +11,12 @@ each feature column once; a node's split search sorts its rows'
 integer ranks, never float values.  All trees grow depth-first in
 lockstep: each step pops every tree's next splittable node and scores
 them in one vectorised search, in blocks of ``_SPLIT_BUDGET``
-elements.  A forest node draws its ``mtry`` features from its own
-tree's stream in the pre-order a one-tree-at-a-time recursion would,
-so the trees are the same as growing them one by one.  Trees stay
+elements.  A forest draws from one stream: its bootstrap samples in
+one call, then one block of keys per lockstep step, a row for each
+node the step pops in tree order; a node's ``mtry`` features are its
+row's smallest keys.  A tree's k-th splittable node in pre-order is
+always popped at step k, so the trees depend on (X, y, seed,
+hyperparameters) alone, never on the search blocks.  Trees stay
 nested dicts; prediction sends all rows down them together.
 """
 
@@ -520,18 +523,27 @@ def _partition(X, rows, sizes, feature, threshold):
     return parted, np.bincount(owner[go_left], minlength=sizes.size)
 
 
-def _grow_trees(X, y, samples: list, max_depth, min_samples_split: int, mtry=None, rngs=None):
+def _draw_features(rng, count: int, d: int, mtry: int) -> np.ndarray:
+    """``count`` rows of ``mtry`` ascending features drawn uniformly
+    without replacement: each row's smallest of d uniform keys."""
+    keys = rng.random((count, d))
+    return np.sort(np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1)
+
+
+def _grow_trees(X, y, samples, max_depth, min_samples_split: int, mtry=None, rng=None):
     """One CART tree per row-index array in ``samples``, grown together.
 
     A node is a leaf of its majority label (ties to 0) when it is pure,
     has fewer than ``min_samples_split`` rows, sits at ``max_depth`` or
     has no varying column; otherwise rows <= the best threshold go
-    left.  With ``mtry`` below the feature count a node searches
-    ``mtry`` features drawn from its tree's ``rngs`` entry, and all
-    features when the drawn ones are constant there.  Each tree keeps a
-    stack of splittable nodes, left child on top; every step pops one
-    node per tree, so each tree draws in a recursive grower's
-    pre-order, and searches the step's nodes together.
+    left.  Each tree keeps a stack of splittable nodes, left child on
+    top; every step pops one node per tree and searches the step's
+    nodes together.  With ``mtry`` below the feature count, a step
+    draws its B nodes' features from ``rng`` in one ``_draw_features``
+    call, a row per node in tree order, and a node searches all
+    features when its drawn ones are constant there.  A tree's k-th
+    splittable node in pre-order is popped at step k, so the draws do
+    not depend on how the split search is blocked.
     """
     d = X.shape[1]
     keys, values = _rank_keys(X, y)
@@ -552,8 +564,7 @@ def _grow_trees(X, y, samples: list, max_depth, min_samples_split: int, mtry=Non
         sizes = np.array([entry[1].size for entry in batch])
         ones = np.array([entry[2] for entry in batch])
         if draw:
-            picks = [rngs[entry[0]].choice(d, size=mtry, replace=False) for entry in batch]
-            feats = np.sort(picks, axis=1)
+            feats = _draw_features(rng, len(batch), d, mtry)
         else:
             feats = np.broadcast_to(np.arange(d), (len(batch), d))
         feature, threshold, found = _split_search(keys, values, rows, sizes, ones, feats)
@@ -632,9 +643,9 @@ def _fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dic
         mtry = max(1, int(math.isqrt(d)))
     if mtry > d:
         raise LearnError(f"mtry must be in [1, {d}], got {mtry}")
-    rngs = [derive_rng(seed, "tree", t) for t in range(int(hp["n_trees"]))]
-    samples = [rng.integers(0, n, size=n) for rng in rngs]
-    trees = _grow_trees(X, y, samples, hp["max_depth"], hp["min_samples_split"], mtry, rngs)
+    rng = derive_rng(seed, "forest")
+    samples = rng.integers(0, n, size=(int(hp["n_trees"]), n))
+    trees = _grow_trees(X, y, samples, hp["max_depth"], hp["min_samples_split"], mtry, rng)
     return {"trees": trees, "mtry": mtry}
 
 

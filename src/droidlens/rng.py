@@ -2,7 +2,9 @@
 
 Every source of randomness in the toolkit draws from a stream derived
 from (master seed, purpose, indices...), so results never depend on the
-order in which independent units run.
+order in which independent units run.  A unit is whatever owns a
+stream: a fold split, a k-means run, a SMOTE call, or a whole random
+forest, whose trees share one stream in a fixed draw order.
 """
 
 from __future__ import annotations

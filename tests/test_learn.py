@@ -117,23 +117,21 @@ def _reference_best_split(X, y, feature_ids):
     return best
 
 
-def _reference_grow_tree(X, y, depth, max_depth, min_samples_split, mtry, rng, taken=None):
-    """The recursive grower the lockstep one replaced: each node copies
-    its rows of X, draws its features in pre-order, and searches them
-    with ``_reference_best_split``.  ``taken["fallback"]`` counts the
-    nodes whose drawn features were all constant."""
+def _reference_grow_tree(X, y, depth, max_depth, min_samples_split, taken=None):
+    """The recursive grower the lockstep one replaced, as a generator:
+    each node copies its rows of X, yields when it may split, receives
+    its feature ids, and searches them with ``_reference_best_split``;
+    the tree is the generator's return value.  ``taken["fallback"]``
+    counts the nodes whose received features were all constant."""
     ones = int((y == 1).sum())
     if ones == 0 or ones == y.size:
         return {"leaf": int(y[0])}
     if y.size < min_samples_split or (max_depth is not None and depth >= max_depth):
         return {"leaf": 1 if ones > y.size - ones else 0}
     d = X.shape[1]
-    if mtry is None or mtry >= d:
-        feature_ids = np.arange(d)
-    else:
-        feature_ids = np.sort(rng.choice(d, size=mtry, replace=False))
+    feature_ids = yield
     best = _reference_best_split(X, y, feature_ids)
-    if best is None and mtry is not None and mtry < d:
+    if best is None and feature_ids.size < d:
         if taken is not None:
             taken["fallback"] += 1
         best = _reference_best_split(X, y, np.arange(d))
@@ -142,20 +140,50 @@ def _reference_grow_tree(X, y, depth, max_depth, min_samples_split, mtry, rng, t
     _, feature, threshold = best
     mask = X[:, feature] <= threshold
     grow = lambda m: _reference_grow_tree(
-        X[m], y[m], depth + 1, max_depth, min_samples_split, mtry, rng, taken
+        X[m], y[m], depth + 1, max_depth, min_samples_split, taken
     )
-    return {"feature": feature, "threshold": threshold, "left": grow(mask), "right": grow(~mask)}
+    left = yield from grow(mask)
+    right = yield from grow(~mask)
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+
+
+def _reference_trees(X, y, samples, max_depth, min_samples_split, mtry, rng, taken=None):
+    """One reference tree per row sample, the generators advanced one
+    node each per round.  With mtry below d, a round draws
+    ``rng.random((B, d))`` for the B trees waiting, in tree order, and
+    a tree's features are the mtry smallest keys of its row."""
+    d = X.shape[1]
+    growers = [
+        _reference_grow_tree(X[rows], y[rows], 0, max_depth, min_samples_split, taken)
+        for rows in samples
+    ]
+    trees = [None] * len(growers)
+
+    def advance(t, feature_ids):
+        try:
+            growers[t].send(feature_ids)
+            return True
+        except StopIteration as done:
+            trees[t] = done.value
+            return False
+
+    waiting = [t for t in range(len(growers)) if advance(t, None)]
+    while waiting:
+        if mtry is not None and mtry < d:
+            keys = rng.random((len(waiting), d))
+            picks = [np.sort(np.argsort(row, kind="stable")[:mtry]) for row in keys]
+        else:
+            picks = [np.arange(d)] * len(waiting)
+        waiting = [t for t, feature_ids in zip(waiting, picks) if advance(t, feature_ids)]
+    return trees
 
 
 def _reference_forest(X, y, n_trees, seed, mtry, taken=None):
-    """The forest's trees as the recursive grower built them, one after
-    another, each from its own bootstrap stream."""
-    trees = []
-    for t in range(n_trees):
-        rng = derive_rng(seed, "tree", t)
-        rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(_reference_grow_tree(X[rows], y[rows], 0, None, 2, mtry, rng, taken))
-    return trees
+    """The forest's trees from one stream: every bootstrap sample in
+    one draw, then the per-round feature keys."""
+    rng = derive_rng(seed, "forest")
+    samples = rng.integers(0, X.shape[0], size=(n_trees, X.shape[0]))
+    return _reference_trees(X, y, samples, None, 2, mtry, rng, taken)
 
 
 def _reference_tree_predict_one(tree, x):
@@ -1005,16 +1033,14 @@ def grower_problems(draw):
 @settings(max_examples=300, deadline=None)
 def test_grower_matches_reference(problem):
     X, y, samples, max_depth, min_samples_split, mtry, budget, seed = problem
-    rngs = [derive_rng(seed, "tree", t) for t in range(len(samples))]
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(learn, "_SPLIT_BUDGET", budget)
-        grown = learn._grow_trees(X, y, samples, max_depth, min_samples_split, mtry, rngs)
-    expected = [
-        _reference_grow_tree(
-            X[rows], y[rows], 0, max_depth, min_samples_split, mtry, derive_rng(seed, "tree", t)
+        grown = learn._grow_trees(
+            X, y, samples, max_depth, min_samples_split, mtry, derive_rng(seed, "forest")
         )
-        for t, rows in enumerate(samples)
-    ]
+    expected = _reference_trees(
+        X, y, samples, max_depth, min_samples_split, mtry, derive_rng(seed, "forest")
+    )
     assert grown == expected
 
 
@@ -1032,21 +1058,36 @@ def test_best_split_none_when_every_column_constant():
 
 def test_trees_identical_to_reference_split():
     # Sparse counts: many columns are constant within a node, so some
-    # forest nodes take the mtry fallback to all features (19 here).
+    # forest nodes take the mtry fallback to all features (23 here).
     rng = np.random.default_rng(12)
     rates = rng.gamma(0.1, 1.0, size=(2, 36))
     y = rng.integers(0, 2, 60)
     X = rng.poisson(rates[y]).astype(np.float64)
     ds = make_ds(X, y)
     dt = fit(ClassifierSpec(kind="decision_tree", seed=5), ds)
-    assert dt.params == {"tree": _reference_grow_tree(X, y, 0, None, 2, None, None), "dim": 36}
+    (tree,) = _reference_trees(X, y, [np.arange(60)], None, 2, None, None)
+    assert dt.params == {"tree": tree, "dim": 36}
     taken = Counter()
     rf = fit(ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": 10}, seed=5), ds)
     reference = _reference_forest(X, y, 10, 5, 6, taken)
     assert rf.params == {"trees": reference, "mtry": 6, "dim": 36}
-    assert taken["fallback"] == 19
+    assert taken["fallback"] == 23
     votes = [sum(_reference_tree_predict_one(tree, row) for tree in reference) for row in X]
     assert predict_batch(rf, X).tolist() == [int(2 * v > 10) for v in votes]
+
+
+@pytest.mark.parametrize("d, mtry", [(256, 16), (7, 3), (2, 1)])
+def test_feature_draws_are_uniform_subsets(d, mtry):
+    # Every feature sits in a node's draw with probability mtry/d; over
+    # 20,000 draws each feature's count is binomial, held to 5 sigma.
+    count = 20_000
+    feats = learn._draw_features(derive_rng(9, "forest"), count, d, mtry)
+    assert feats.shape == (count, mtry)
+    assert ((feats >= 0) & (feats < d)).all()
+    assert (np.diff(feats, axis=1) > 0).all()  # distinct, ascending
+    p = mtry / d
+    sigma = math.sqrt(count * p * (1.0 - p))
+    assert np.abs(np.bincount(feats.ravel(), minlength=d) - count * p).max() <= 5.0 * sigma
 
 
 _CUTS = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -1120,6 +1161,24 @@ def test_tree_fit_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert "feature" in model.params["tree"]
+    assert peak < 2.5 * X.nbytes
+
+
+def test_forest_fit_memory_stays_linear():
+    # A forest draws one step's feature keys at a time (one row per
+    # tree), so its peak stays near the decision tree's; drawing keys
+    # for every node of every tree at once would pass the bound.
+    rng = np.random.default_rng(3)
+    X = rng.poisson(rng.gamma(0.5, 4.0, size=256), size=(2000, 256)).astype(np.float64)
+    ds = make_ds(X, rng.integers(0, 2, 2000))
+    spec = ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": 10})
+    tracemalloc.start()
+    try:
+        model = fit(spec, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all("feature" in tree for tree in model.params["trees"])
     assert peak < 2.5 * X.nbytes
 
 
