@@ -200,10 +200,13 @@ _SSE_RESTARTS = 10
 def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, np.ndarray]:
     """Lloyd iterations from a k-means++ start.
 
-    Nearest-centroid ties go to the lowest centroid index.  SSE is
-    checked non-increasing on every iteration; a violation is a bug,
-    not a data condition, and raises.  X's row norms and 2X are
-    computed once per call and shared by every distance pass.
+    The rows are assigned once to the starting centroids, then once
+    more at the end of each Lloyd step, so the returned labels and SSE
+    are those of the returned centroids.  Nearest-centroid ties go to
+    the lowest centroid index.  Each step checks that SSE did not
+    increase; a violation is a bug, not a data condition, and raises.
+    X's row norms and 2X are computed once per call and shared by every
+    distance pass.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -212,39 +215,31 @@ def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, np.ndarray]:
     row_terms = _row_terms(X)
     centroids = _kmeanspp_init(X, k, rng, row_terms)
 
-    prev_sse = math.inf
-    iterations = 0
-
     def assign(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         d2 = _sq_dists(X, c, row_terms)
         labels = np.argmin(d2, axis=1)
         dmin = d2[np.arange(n), labels]
         return labels, dmin, float(dmin.sum())
 
-    def check_monotone(sse: float) -> None:
-        if sse > prev_sse + 1e-9 * max(1.0, prev_sse):
-            raise ClusterError(
-                f"SSE increased from {prev_sse!r} to {sse!r}; Lloyd step is broken"
-            )
-
-    for _ in range(_KMEANS_MAX_ITER):
-        labels, dmin, sse = assign(centroids)
-        check_monotone(sse)
-        prev_sse = sse
+    labels, dmin, sse = assign(centroids)
+    for iterations in range(1, _KMEANS_MAX_ITER + 1):
         new_centroids = centroids.copy()
         for cid in range(k):
             members = labels == cid
             if members.any():
                 new_centroids[cid] = X[members].mean(axis=0)
         new_centroids = _repair_empty(X, labels, dmin, new_centroids)
-        iterations += 1
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
+        prev_sse = sse
+        labels, dmin, sse = assign(centroids)
+        if sse > prev_sse + 1e-9 * max(1.0, prev_sse):
+            raise ClusterError(
+                f"SSE increased from {prev_sse!r} to {sse!r}; Lloyd step is broken"
+            )
         if shift < _KMEANS_TOL:
             break
 
-    labels, _, sse = assign(centroids)
-    check_monotone(sse)
     model = KMeansModel(centroids=centroids, sse=sse, iterations=iterations)
     return model, labels
 
@@ -610,52 +605,30 @@ _GMM_VAR_FLOOR = 1e-6
 def gmm(X, k: int, seed: int) -> tuple[GmmModel, np.ndarray]:
     """EM for a diagonal-covariance mixture, seeded from k-means.
 
+    Each pass is an M-step then an E-step.  The first pass takes the
+    k-means labels as one-hot responsibilities, so it is the
+    initialisation; up to ``_GMM_MAX_ITER`` EM iterations follow, and
+    the returned labels and log likelihood always describe the returned
+    parameters.  Every component starts at the data's mean and floored
+    variance, which a component with no mass keeps: one whose k-means
+    cluster is empty starts dead, at weight 0.
+
     Responsibilities are computed in log space; the total log
     likelihood must not decrease by more than 1e-8 between iterations
     (slack for the variance floor projection).  Variances are floored
     at ``_GMM_VAR_FLOOR``.
     """
     X = _as_matrix(X)
-    n, d = X.shape
+    n = X.shape[0]
     _check_k(k, n)
 
     _, init_labels = kmeans(X, k, seed)
-    means = np.empty((k, d))
-    variances = np.empty((k, d))
-    weights = np.empty(k)
-    global_var = np.maximum(X.var(axis=0), _GMM_VAR_FLOOR)
-    for j in range(k):
-        rows = X[init_labels == j]
-        if rows.shape[0] == 0:
-            means[j] = X.mean(axis=0)
-            variances[j] = global_var
-            weights[j] = 1.0 / n  # tiny but alive; renormalized below
-        else:
-            means[j] = rows.mean(axis=0)
-            variances[j] = np.maximum(rows.var(axis=0), _GMM_VAR_FLOOR)
-            weights[j] = rows.shape[0] / n
-    weights /= weights.sum()
-
-    def e_step() -> tuple[float, np.ndarray]:
-        with np.errstate(divide="ignore"):  # dead components carry weight 0
-            log_w = np.log(weights)
-        log_prob = _log_gaussian(X, means, variances) + log_w[None, :]
-        row_max = log_prob.max(axis=1, keepdims=True)
-        lse = row_max[:, 0] + np.log(np.exp(log_prob - row_max).sum(axis=1))
-        return float(lse.sum()), np.exp(log_prob - lse[:, None])
+    resp = np.eye(k)[init_labels]
+    means = np.tile(X.mean(axis=0), (k, 1))
+    variances = np.tile(np.maximum(X.var(axis=0), _GMM_VAR_FLOOR), (k, 1))
 
     prev_ll = -math.inf
-    for _ in range(_GMM_MAX_ITER):
-        ll, resp = e_step()
-        if ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
-            raise ClusterError(
-                f"log-likelihood fell from {prev_ll!r} to {ll!r}; EM step is broken"
-            )
-        converged = prev_ll != -math.inf and ll - prev_ll < _GMM_TOL
-        prev_ll = ll
-        if converged:
-            break
-
+    for _ in range(_GMM_MAX_ITER + 1):
         mass = resp.sum(axis=0)
         for j in range(k):
             if mass[j] < 1e-12:
@@ -666,13 +639,25 @@ def gmm(X, k: int, seed: int) -> tuple[GmmModel, np.ndarray]:
             variances[j] = np.maximum(resp[:, j] @ (gap * gap) / mass[j], _GMM_VAR_FLOOR)
         weights = np.maximum(mass / n, 0.0)
         weights /= weights.sum()
-    else:
-        # Ran out of iterations after an M-step; refresh the posterior
-        # so labels and log_likelihood describe the returned parameters.
-        prev_ll, resp = e_step()
+
+        with np.errstate(divide="ignore"):  # dead components carry weight 0
+            log_w = np.log(weights)
+        log_prob = _log_gaussian(X, means, variances) + log_w[None, :]
+        row_max = log_prob.max(axis=1, keepdims=True)
+        lse = row_max[:, 0] + np.log(np.exp(log_prob - row_max).sum(axis=1))
+        ll = float(lse.sum())
+        resp = np.exp(log_prob - lse[:, None])
+        if ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
+            raise ClusterError(
+                f"log-likelihood fell from {prev_ll!r} to {ll!r}; EM step is broken"
+            )
+        converged = ll - prev_ll < _GMM_TOL
+        prev_ll = ll
+        if converged:
+            break
 
     model = GmmModel(
-        weights=weights, means=means, variances=variances, log_likelihood=prev_ll
+        weights=weights, means=means, variances=variances, log_likelihood=ll
     )
     return model, np.argmax(resp, axis=1)
 

@@ -68,14 +68,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def equals(self, other: "Dataset") -> bool:
-        return (
-            self.ids == other.ids
-            and self.features.shape == other.features.shape
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
-        )
-
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(

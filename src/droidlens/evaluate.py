@@ -16,7 +16,6 @@ as a marker string, never as NaN.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import logging
 from dataclasses import dataclass, replace
@@ -290,14 +289,14 @@ class ComparisonRow:
     winner: bool = False
 
 
-def _grid_labels(algorithm: str, X, param, seed: int, hierarchy, tree, dist) -> np.ndarray:
+def _grid_labels(algorithm: str, X, param, seed: int, merges, tree, dist) -> np.ndarray:
     row_seed = derive_seed(seed, "compare", algorithm, str(param))
     if algorithm == "kmeans":
         return kmeans(X, int(param), seed=row_seed)[1]
     if algorithm == "agglomerative":
-        return cut(hierarchy(), int(param))
+        return cut(merges, int(param))
     if algorithm == "birch":
-        return birch_cut(tree(), int(param))
+        return birch_cut(tree, int(param))
     if algorithm == "gmm":
         return gmm(X, int(param), seed=row_seed)[1]
     return dbscan(dist, float(param))
@@ -323,15 +322,14 @@ def compare_clusterings(X, seed: int = 0, standardize: bool = False):
         X = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
     rows: list[ComparisonRow] = []
     dist = exact_distances(X)
-    # Each built when the first row needing it runs; a failure is not cached.
-    hierarchy = functools.cache(lambda: agglomerative(X))
-    tree = functools.cache(lambda: birch(X))
+    merges = agglomerative(X)
+    tree = birch(X)
     for algorithm in ALGORITHM_NAMES:
         label = "eps" if algorithm == "dbscan" else "k"
         for param in DEFAULT_GRIDS[algorithm]:
             parameter = f"{label} = {param:g}"
             try:
-                labels = _grid_labels(algorithm, X, param, seed, hierarchy, tree, dist)
+                labels = _grid_labels(algorithm, X, param, seed, merges, tree, dist)
             except ClusterError as exc:
                 logger.info("%s %s failed: %s", algorithm, parameter, exc)
                 rows.append(ComparisonRow(algorithm, parameter, None, None, None))

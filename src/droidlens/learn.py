@@ -35,14 +35,6 @@ from .dataset import Dataset
 from .errors import LearnError
 from .rng import derive_rng
 
-KINDS = (
-    "logistic_regression",
-    "gaussian_nb",
-    "linear_svm",
-    "decision_tree",
-    "random_forest",
-)
-
 _DEFAULTS: dict[str, dict] = {
     "logistic_regression": {"l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6},
     "gaussian_nb": {"var_floor_ratio": 1e-9},
@@ -55,6 +47,8 @@ _DEFAULTS: dict[str, dict] = {
         "min_samples_split": 2,
     },
 }
+
+KINDS = tuple(_DEFAULTS)
 
 _NON_NEGATIVE = ("l2", "grad_tol", "max_iter", "max_depth", "min_samples_split")
 

@@ -9,6 +9,17 @@ from droidlens.errors import DatasetError
 from droidlens.rng import derive_rng
 
 
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    """Same ids, and the same feature and label arrays, shape included."""
+    return (
+        a.ids == b.ids
+        and a.features.shape == b.features.shape
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels)
+    )
+
+
 @dataclass(frozen=True)
 class BlobSpec:
     """Gaussian blob mixture: one center per class-labeled component."""

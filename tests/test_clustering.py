@@ -8,8 +8,10 @@ agglomeration, and a neighbor-count reachability oracle for DBSCAN.
 ``dbscan`` replaced, ``_reference_agglomerative`` the per-k ward
 loop that ``agglomerative`` and ``cut`` replaced, ``_reference_kmeans``
 the Lloyd loop that recomputed X's row norms on every distance pass,
-and ``_reference_birch`` the per-k BIRCH that ``birch`` and
-``birch_cut`` replaced; all share the library's distance computation,
+``_reference_birch`` the per-k BIRCH that ``birch`` and ``birch_cut``
+replaced, and ``_reference_gmm`` the mixture that built its first
+parameters from per-cluster moments instead of its own M-step; all
+share the library's distance computation,
 except that ``_reference_dbscan`` keeps the expanded form ``dbscan``
 used before it took ``exact_distances``.  Its draws are integer grids
 and lines, on which both forms give exact distances.
@@ -31,6 +33,7 @@ from droidlens.clustering import (
     _CFNode,
     _insert_cf,
     _leaf_entries,
+    _log_gaussian,
     _repair_empty,
     _sq_dists,
     agglomerative,
@@ -47,7 +50,7 @@ from droidlens.clustering import (
     sse_curve,
 )
 from droidlens.errors import ClusterError
-from droidlens.rng import derive_rng
+from droidlens.rng import derive_rng, derive_seed
 
 # --- Oracles (definitions transcribed independently) ----------------------
 
@@ -786,6 +789,122 @@ def test_dbscan_memory_stays_below_2_25_bytes_per_cell(quantile):
 
 
 # --- GMM ---------------------------------------------------------------------
+
+
+def _reference_gmm(X, k, seed):
+    """The mixture ``gmm`` replaced: first parameters from each k-means
+    cluster's moments (an empty cluster alive at weight 1/n, with the
+    data's moments), then E-step, convergence test and M-step per
+    pass, and one more E-step when the passes run out.  Returns
+    (weights, means, variances, log likelihood, labels)."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    floor = clustering._GMM_VAR_FLOOR
+    _, init_labels = kmeans(X, k, seed)
+    means = np.empty((k, d))
+    variances = np.empty((k, d))
+    weights = np.empty(k)
+    global_var = np.maximum(X.var(axis=0), floor)
+    for j in range(k):
+        rows = X[init_labels == j]
+        if rows.shape[0] == 0:
+            means[j] = X.mean(axis=0)
+            variances[j] = global_var
+            weights[j] = 1.0 / n
+        else:
+            means[j] = rows.mean(axis=0)
+            variances[j] = np.maximum(rows.var(axis=0), floor)
+            weights[j] = rows.shape[0] / n
+    weights /= weights.sum()
+
+    def e_step():
+        with np.errstate(divide="ignore"):
+            log_w = np.log(weights)
+        log_prob = _log_gaussian(X, means, variances) + log_w[None, :]
+        row_max = log_prob.max(axis=1, keepdims=True)
+        lse = row_max[:, 0] + np.log(np.exp(log_prob - row_max).sum(axis=1))
+        return float(lse.sum()), np.exp(log_prob - lse[:, None])
+
+    prev_ll = -math.inf
+    for _ in range(clustering._GMM_MAX_ITER):
+        ll, resp = e_step()
+        converged = prev_ll != -math.inf and ll - prev_ll < clustering._GMM_TOL
+        prev_ll = ll
+        if converged:
+            break
+        mass = resp.sum(axis=0)
+        for j in range(k):
+            if mass[j] < 1e-12:
+                continue
+            means[j] = resp[:, j] @ X / mass[j]
+            gap = X - means[j]
+            variances[j] = np.maximum(resp[:, j] @ (gap * gap) / mass[j], floor)
+        weights = np.maximum(mass / n, 0.0)
+        weights /= weights.sum()
+    else:
+        prev_ll, resp = e_step()
+    return weights, means, variances, prev_ll, np.argmax(resp, axis=1)
+
+
+def _gmm_mixture(kind, seed, n=400):
+    """n rows of a two-blob, four-blob or Poisson-count mixture."""
+    if kind == "two_blob":
+        return two_blob_matrix(seed, sigma=1.5, per=n // 2)
+    if kind == "four_blob":
+        centers = ((0.0, 0.0, 0.0), (6.0, 0.0, 2.0), (0.0, 6.0, 4.0), (6.0, 6.0, 6.0))
+        return two_blob_matrix(seed, sigma=1.0, per=n // 4, centers=centers)
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.5, 20.0, (3, 6))
+    return rng.poisson(rates[rng.integers(0, 3, n)]).astype(np.float64)
+
+
+def _standardized(X):
+    std = X.std(axis=0)
+    return (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["two_blob", "four_blob", "poisson"])
+@pytest.mark.parametrize("standardize", [False, True])
+def test_gmm_matches_reference(kind, standardize):
+    X = _gmm_mixture(kind, seed=5)
+    if standardize:
+        X = _standardized(X)
+    # No k-means partition of these inputs has an empty cluster, the one
+    # case where the two starts differ.
+    for k in (2, 3, 4, 5):
+        seed = derive_seed(1, "compare", "gmm", str(k))
+        model, labels = gmm(X, k, seed)
+        weights, means, variances, ll, ref_labels = _reference_gmm(X, k, seed)
+        assert np.array_equal(labels, ref_labels)
+        assert np.allclose(model.weights, weights, rtol=1e-9, atol=1e-12)
+        assert np.allclose(model.means, means, rtol=1e-9, atol=1e-9)
+        assert np.allclose(model.variances, variances, rtol=1e-9, atol=1e-12)
+        assert model.log_likelihood == pytest.approx(ll, rel=1e-12)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2, clustering._GMM_MAX_ITER])
+@pytest.mark.parametrize("kind", ["four_blob", "poisson"])
+def test_gmm_result_describes_returned_parameters(monkeypatch, max_iter, kind):
+    monkeypatch.setattr(clustering, "_GMM_MAX_ITER", max_iter)
+    X = _gmm_mixture(kind, seed=9)
+    model, labels = gmm(X, 4, seed=3)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(model.weights)
+    log_prob = _log_gaussian(X, model.means, model.variances) + log_w[None, :]
+    row_max = log_prob.max(axis=1, keepdims=True)
+    lse = row_max[:, 0] + np.log(np.exp(log_prob - row_max).sum(axis=1))
+    assert model.log_likelihood == pytest.approx(float(lse.sum()), rel=1e-12)
+    assert np.array_equal(labels, np.argmax(log_prob, axis=1))
+
+
+def test_gmm_empty_kmeans_cluster_starts_dead():
+    X = np.tile([3.0, 7.0], (10, 1))
+    assert np.bincount(kmeans(X, 2, seed=5)[1], minlength=2).tolist() == [10, 0]
+    model, labels = gmm(X, 2, seed=5)
+    assert model.weights.tolist() == [1.0, 0.0]
+    assert np.array_equal(model.means[1], X.mean(axis=0))
+    assert np.all(model.variances[1] == clustering._GMM_VAR_FLOOR)
+    assert (labels == 0).all()
 
 
 def test_gmm_two_separated_blobs():

@@ -1,9 +1,12 @@
 """Every defaulted parameter of droidlens's public functions and classes
-is passed by some call in the program (``src/`` or ``bench/``).
+is passed by some call in the program (``src/`` or ``bench/``), and
+every public method is called there.
 
 A keyword that only tests pass is an option no command can set, with
 its own validation to keep; a case that needs another value is reached
-by patching a module constant instead.
+by patching a module constant instead.  A method that only tests call
+is code the program does not need; a test that wants it keeps it as a
+helper of its own.
 """
 
 import ast
@@ -51,6 +54,22 @@ def _public_parameters():
                         yield callee, name, pos
 
 
+def _public_methods():
+    """(class name, method name) for each public method of a public
+    class; properties are read, not called, so they are left out."""
+    for path in sorted((_ROOT / "src" / "droidlens").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and not any(getattr(d, "id", None) == "property" for d in item.decorator_list)
+                ):
+                    yield node.name, item.name
+
+
 def _program_calls():
     """callee name -> [(positional argument count, keyword names)]."""
     calls = {}
@@ -75,5 +94,13 @@ def test_no_public_keyword_is_test_only():
             name in keywords or (pos is not None and n_args > pos)
             for n_args, keywords in calls.get(callee, ())
         )
+    )
+    assert unused == []
+
+
+def test_no_public_method_is_test_only():
+    calls = _program_calls()
+    unused = sorted(
+        f"{cls}.{name}" for cls, name in _public_methods() if name not in calls
     )
     assert unused == []
