@@ -107,12 +107,8 @@ class RunConfig:
             raise ConfigError(
                 f"protocol must be one of {'/'.join(PROTOCOLS)}, got {self.protocol!r}"
             )
-        object.__setattr__(self, "classifiers", tuple(self.classifiers))
-
-    def resolved_specs(self) -> tuple[ClassifierSpec, ...]:
-        if self.classifiers:
-            return self.classifiers
-        return tuple(ClassifierSpec(kind=kind) for kind in KINDS)
+        specs = tuple(self.classifiers) or tuple(ClassifierSpec(kind=kind) for kind in KINDS)
+        object.__setattr__(self, "classifiers", specs)
 
 
 def _parse_classifier_entry(index: int, entry) -> ClassifierSpec:
@@ -317,10 +313,10 @@ def _cmd_elbow(args) -> int:
 
 def _run_one_pipeline(pipeline: str, ds: Dataset, cfg: RunConfig):
     if pipeline == "plain":
-        return run_plain_pipeline(ds, cfg.resolved_specs(), k=cfg.cv_k, seed=cfg.seed)
+        return run_plain_pipeline(ds, cfg.classifiers, k=cfg.cv_k, seed=cfg.seed)
     return run_clustered_pipeline(
         ds,
-        cfg.resolved_specs(),
+        cfg.classifiers,
         cluster_k=cfg.cluster_k,
         k=cfg.cv_k,
         seed=cfg.seed,
@@ -433,8 +429,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _setup_logging(args.verbose, args.log_file)
     try:
+        _setup_logging(args.verbose, args.log_file)
         return args.func(args)
     except DroidlensError as exc:
         print(f"droidlens: error: {exc}", file=sys.stderr)

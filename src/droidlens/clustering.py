@@ -175,23 +175,6 @@ def _kmeanspp_init(
     return X[chosen].copy()
 
 
-def _repair_empty(
-    X: np.ndarray, labels: np.ndarray, dmin: np.ndarray, centroids: np.ndarray
-) -> np.ndarray:
-    """Reseed each empty cluster to the point currently farthest from
-    its assigned centroid; a point is spent once per repair round."""
-    counts = np.bincount(labels, minlength=centroids.shape[0])
-    if counts.min() > 0:
-        return centroids
-    centroids = centroids.copy()
-    dmin = dmin.copy()
-    for cid in np.flatnonzero(counts == 0):
-        far = int(np.argmax(dmin))
-        centroids[cid] = X[far]
-        dmin[far] = -1.0
-    return centroids
-
-
 _KMEANS_MAX_ITER = 300
 _KMEANS_TOL = 1e-6  # stop once no centroid moves this far
 _SSE_RESTARTS = 10
@@ -223,12 +206,15 @@ def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, np.ndarray]:
 
     labels, dmin, sse = assign(centroids)
     for iterations in range(1, _KMEANS_MAX_ITER + 1):
-        new_centroids = centroids.copy()
+        new_centroids = np.empty_like(centroids)
         for cid in range(k):
             members = labels == cid
             if members.any():
                 new_centroids[cid] = X[members].mean(axis=0)
-        new_centroids = _repair_empty(X, labels, dmin, new_centroids)
+            else:  # reseed to the row farthest from its centroid, each row once
+                far = int(np.argmax(dmin))
+                new_centroids[cid] = X[far]
+                dmin[far] = -1.0
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         prev_sse = sse

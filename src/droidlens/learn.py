@@ -36,9 +36,9 @@ from .errors import LearnError
 from .rng import derive_rng
 
 _DEFAULTS: dict[str, dict] = {
-    "logistic_regression": {"l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6},
+    "logistic_regression": {"l2": 1e-4},
     "gaussian_nb": {"var_floor_ratio": 1e-9},
-    "linear_svm": {"l2": 1e-4, "max_iter": 1000},
+    "linear_svm": {"l2": 1e-4},
     "decision_tree": {"max_depth": None, "min_samples_split": 2},
     "random_forest": {
         "n_trees": 100,
@@ -50,7 +50,7 @@ _DEFAULTS: dict[str, dict] = {
 
 KINDS = tuple(_DEFAULTS)
 
-_NON_NEGATIVE = ("l2", "grad_tol", "max_iter", "max_depth", "min_samples_split")
+_NON_NEGATIVE = ("l2", "max_depth", "min_samples_split")
 
 
 def _check_hyperparameter(kind: str, key: str, value) -> None:
@@ -94,13 +94,10 @@ class ClassifierSpec:
             )
         for key, value in self.hyperparameters.items():
             _check_hyperparameter(self.kind, key, value)
-        # A read-only copy: a spec cannot change after it was checked.
-        object.__setattr__(self, "hyperparameters", MappingProxyType(dict(self.hyperparameters)))
-
-    def resolved(self) -> dict:
-        merged = dict(_DEFAULTS[self.kind])
-        merged.update(self.hyperparameters)
-        return merged
+        # Every setting of the kind, the given ones over the defaults, in a
+        # read-only copy: a spec cannot change after it was checked.
+        merged = {**_DEFAULTS[self.kind], **self.hyperparameters}
+        object.__setattr__(self, "hyperparameters", MappingProxyType(merged))
 
 
 @dataclass(frozen=True)
@@ -130,14 +127,31 @@ def _training_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _neighbor_table(M: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest other rows, nearest first.  Rows are ranked
-    in blocks of about 2^16 distances, so memory stays near m² floats."""
+    """Each row's k nearest other rows, nearest first, tied distances
+    going to the lowest row index.  A row keeps every row nearer than
+    its k-th smallest distance and the lowest-index rows at it, then
+    stable-sorts those k: the first k of a stable sort of the whole row,
+    whichever kernel numpy sorts with.  Rows are ranked in blocks of
+    about 2^16 distances, so memory stays near m² floats."""
     dist = exact_distances(M)
     np.fill_diagonal(dist, np.inf)
     block = max(1, (1 << 16) // len(M))
     table = np.empty((len(M), k), dtype=np.intp)
     for r0 in range(0, len(M), block):
-        table[r0 : r0 + block] = np.argsort(dist[r0 : r0 + block], axis=1)[:, :k]
+        rows = dist[r0 : r0 + block]
+        kth = np.partition(rows, k - 1, axis=1)[:, k - 1 : k]
+        keep = rows <= kth
+        excess = keep.sum(axis=1) - k
+        tied = np.flatnonzero(excess)  # more than k rows at or below the k-th distance
+        if tied.size:
+            at = rows[tied] == kth[tied]
+            room = at.sum(axis=1) - excess[tied]
+            keep[tied] &= ~at | (np.cumsum(at, axis=1) <= room[:, None])
+        cols = np.nonzero(keep)[1].reshape(-1, k)
+        near = np.take_along_axis(rows, cols, axis=1)
+        table[r0 : r0 + block] = np.take_along_axis(
+            cols, np.argsort(near, axis=1, kind="stable"), axis=1
+        )
     return table
 
 
@@ -201,6 +215,8 @@ def _standardize_apply(X: np.ndarray, mean, std, kept) -> np.ndarray:
 
 
 _ARMIJO = 0.01  # accept a step that gains this share of the predicted decrease
+_MAX_ITER = 1000  # Newton iterations at most
+_GRAD_TOL = 1e-6  # stop once the gradient norm falls below this
 _FLAT = 1e-8  # curvature below this share of H's largest counts as none
 
 
@@ -260,7 +276,7 @@ def _newton_direction(Z: np.ndarray, h: np.ndarray, lam: float, grad: np.ndarray
     return -(vecs[:, keep] @ ((vecs[:, keep].T @ grad) / vals[keep]))
 
 
-def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
+def _fit_linear(X: np.ndarray, lam: float, row_terms) -> dict:
     """Minimise mean(loss(z)) + l2·‖w‖², z = Zw + b over standardized X,
     by Newton's method with Armijo backtracking.
 
@@ -269,14 +285,13 @@ def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
     Each iteration tries the steps 1, 1/2, 1/4, ... along the Newton
     direction and takes the first that gains ``_ARMIJO`` of the decrease
     the gradient predicts.  It stops when the gradient norm falls below
-    ``grad_tol``, after ``max_iter`` iterations, or when no step above
+    ``_GRAD_TOL``, after ``_MAX_ITER`` iterations, or when no step above
     1e-12 lowers the objective.  The accepted candidate's derivatives
     are kept for the next iteration, so each trial computes Zw once.
     """
     mean, std, kept = _standardize_fit(X)
     Z = _standardize_apply(X, mean, std, kept)
     n, d = Z.shape
-    lam = hp["l2"]
 
     def objective(wv, bv):
         loss, slope, curv = row_terms(Z @ wv + bv)
@@ -287,10 +302,10 @@ def _fit_linear(X: np.ndarray, hp: dict, row_terms) -> dict:
     current, g, h = objective(w, b)
     curve = [current]
     grad = np.empty(d + 1)
-    for _ in range(int(hp["max_iter"])):
+    for _ in range(_MAX_ITER):
         grad[:d] = Z.T @ g / n + 2.0 * lam * w
         grad[d] = float(g.sum()) / n
-        if math.sqrt(float(grad @ grad)) < hp["grad_tol"]:
+        if math.sqrt(float(grad @ grad)) < _GRAD_TOL:
             break
         p = _newton_direction(Z, h, lam, grad)
         predicted = float(grad @ p)
@@ -332,7 +347,7 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
         slope = -sign * np.where(m >= 0.0, e, 1.0) / (1.0 + e)
         return loss, slope, e / ((1.0 + e) * (1.0 + e))
 
-    return _fit_linear(X, hp, row_terms)
+    return _fit_linear(X, hp["l2"], row_terms)
 
 
 def _fit_linear_svm(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
@@ -340,7 +355,7 @@ def _fit_linear_svm(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     row, as in LIBLINEAR's default primal.  Its slope is continuous but
     its curvature jumps, so the Hessian is the generalised one of
     Keerthi & DeCoste 2005: curvature 2 on the rows with 1 − s·z > 0
-    and 0 elsewhere.  The stopping tolerance is fixed, not a setting."""
+    and 0 elsewhere."""
     sign = np.where(y == 1, 1.0, -1.0)
     slope_scale = -2.0 * sign
 
@@ -348,7 +363,7 @@ def _fit_linear_svm(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
         hinge = np.maximum(1.0 - sign * z, 0.0)
         return hinge * hinge, slope_scale * hinge, 2.0 * (hinge > 0.0)
 
-    return _fit_linear(X, {**hp, "grad_tol": 1e-6}, row_terms)
+    return _fit_linear(X, hp["l2"], row_terms)
 
 
 def _predict_linear(params: dict, X: np.ndarray) -> np.ndarray:
@@ -657,7 +672,7 @@ def fit(spec: ClassifierSpec, ds: Dataset) -> ClassifierModel:
     if len(classes) == 1:
         only = int(next(iter(classes)))
         return ClassifierModel(kind=spec.kind, params={"dim": ds.dim}, constant=only)
-    hp = spec.resolved()
+    hp = spec.hyperparameters
     if spec.kind == "logistic_regression":
         params = _fit_logistic(X, y, hp)
     elif spec.kind == "gaussian_nb":

@@ -368,9 +368,12 @@ def test_bad_config_exits_1(labeled_csv, tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
-def test_bad_hyperparameter_value_exits_1(labeled_csv, tmp_path, capsys):
+def test_bad_hyperparameter_value_exits_1(labeled_csv, tmp_path, capsys, monkeypatch):
+    fits, real_fit = [], evaluate.fit
+    monkeypatch.setattr(evaluate, "fit", lambda spec, ds: fits.append(spec) or real_fit(spec, ds))
     config = tmp_path / "run.json"
-    for hp in ({"l2": "0.1"}, {"max_iter": -3}):
+    # max_iter and grad_tol are the solver's constants, not settings.
+    for hp in ({"l2": "0.1"}, {"max_iter": 1000}, {"grad_tol": 1e-6}):
         entry = {"kind": "logistic_regression", "hyperparameters": hp}
         config.write_text(json.dumps({"classifiers": [entry]}))
         code = main(
@@ -381,7 +384,10 @@ def test_bad_hyperparameter_value_exits_1(labeled_csv, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "droidlens: error:" in err and next(iter(hp)) in err
         assert "Traceback" not in err
+        if "l2" not in hp:
+            assert "valid keys: ['l2']" in err
     assert not (tmp_path / "r.csv").exists()
+    assert fits == []
 
 
 @pytest.mark.parametrize("hp", [{"n_trees": 0}, {"mtry": 0}])
@@ -444,9 +450,13 @@ def test_config_validation_direct(tmp_path):
         RunConfig(smote="yes")
     cfg = RunConfig()
     assert cfg.seed == 42
-    assert [s.kind for s in cfg.resolved_specs()] == [
-        "logistic_regression", "gaussian_nb", "linear_svm", "decision_tree", "random_forest",
-    ]
+    assert cfg.classifiers == tuple(
+        ClassifierSpec(kind=kind) for kind in (
+            "logistic_regression", "gaussian_nb", "linear_svm", "decision_tree", "random_forest",
+        )
+    )
+    named = (ClassifierSpec(kind="decision_tree"),)
+    assert RunConfig(classifiers=named).classifiers == named
 
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"classifiers": [{"kind": "decision_tree", "seed": 1}]}))
@@ -481,6 +491,16 @@ def test_logging_handlers_replaced_per_run(tmp_path, capsys):
     assert all(log.read_text().count("extracted a.dex") == 1 for log in logs)
     assert main(["extract", str(corpus), "-o", out]) == 0
     assert "INFO" not in capsys.readouterr().err
+
+
+def test_log_file_in_missing_directory_exits_1(labeled_csv, tmp_path, capsys):
+    log = tmp_path / "missing" / "run.log"
+    out = tmp_path / "elbow.csv"
+    assert main(["--log-file", str(log), "elbow", str(labeled_csv), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("droidlens: error:") and str(log) in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_multidex_constant_under_file_ordering(tmp_path):

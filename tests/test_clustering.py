@@ -7,7 +7,8 @@ agglomeration, and a neighbor-count reachability oracle for DBSCAN.
 ``_reference_dbscan`` is the stack search and per-border loop that
 ``dbscan`` replaced, ``_reference_agglomerative`` the per-k ward
 loop that ``agglomerative`` and ``cut`` replaced, ``_reference_kmeans``
-the Lloyd loop that recomputed X's row norms on every distance pass,
+the Lloyd loop that recomputed X's row norms on every distance pass
+and reseeded empty clusters after its means,
 ``_reference_birch`` the per-k BIRCH that ``birch`` and ``birch_cut``
 replaced, and ``_reference_gmm`` the mixture that built its first
 parameters from per-cluster moments instead of its own M-step; all
@@ -34,7 +35,6 @@ from droidlens.clustering import (
     _insert_cf,
     _leaf_entries,
     _log_gaussian,
-    _repair_empty,
     _sq_dists,
     agglomerative,
     assign_clusters_batch,
@@ -161,7 +161,8 @@ def _reference_agglomerative(X, k):
 
 def _reference_kmeans(X, k, seed):
     """k-means with every distance pass computing X's row norms afresh
-    through ``_sq_dists``: the loop ``kmeans`` replaced, returning
+    through ``_sq_dists`` and empty clusters reseeded in a pass of
+    their own after the means: the loop ``kmeans`` replaced, returning
     (centroids, labels, sse, iterations)."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -192,7 +193,13 @@ def _reference_kmeans(X, k, seed):
             members = labels == cid
             if members.any():
                 new_centroids[cid] = X[members].mean(axis=0)
-        new_centroids = _repair_empty(X, labels, dmin, new_centroids)
+        # Each empty cluster takes the row then farthest from its
+        # centroid; a row is spent once per pass.
+        spent = dmin.copy()
+        for cid in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
+            far = int(np.argmax(spent))
+            new_centroids[cid] = X[far]
+            spent[far] = -1.0
         iterations += 1
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids

@@ -12,12 +12,18 @@ method in 50-digit decimal arithmetic.  The Newton direction is held to
 a Cholesky-gated solve of the bordered Hessian.
 """
 
+import contextlib
 import decimal
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,11 +200,12 @@ def _reference_tree_predict_one(tree, x):
 
 
 def _reference_neighbor_table(M, k):
-    """SMOTE's neighbour table from the full m×m×d difference tensor."""
+    """SMOTE's neighbour table from the full m×m×d difference tensor,
+    each row stable-sorted whole: ties go to the lowest row index."""
     gap = M[:, None, :] - M[None, :, :]
     dist = np.sqrt((gap * gap).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
-    return np.argsort(dist, axis=1)[:, :k]
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
 def _objective_closures(kind, Z, y, lam):
@@ -348,6 +355,10 @@ def neighbor_problems(draw):
 
 
 @given(problem=neighbor_problems())
+# Every distance tied at 0, which numpy's SIMD sort kernels order
+# differently from its baseline one; then ties at the k-th distance.
+@example(problem=(np.zeros((40, 3)), 5))
+@example(problem=(np.repeat([[0.0], [1.0]], [3, 30], axis=0), 5))
 @settings(max_examples=300, deadline=None)
 def test_neighbor_table_matches_reference(problem):
     M, k = problem
@@ -372,6 +383,48 @@ def test_neighbor_table_matches_reference_on_counts(m, d, top):
     assert np.array_equal(learn._neighbor_table(M, 5), _reference_neighbor_table(M, 5))
 
 
+_NEIGHBOR_TABLES = """
+import json
+import numpy as np
+from droidlens import learn
+rng = np.random.default_rng(5)
+cases = [
+    np.zeros((40, 3)),
+    rng.integers(0, 2, (200, 4)).astype(np.float64),
+    rng.poisson(rng.gamma(1.0, 5.0, 64), (300, 64)).astype(np.float64),
+]
+print(json.dumps([learn._neighbor_table(M, 5).tolist() for M in cases]))
+"""
+
+
+def _dispatched_cpu_targets():
+    """numpy's dispatched SIMD targets that this CPU supports."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+def test_neighbor_table_same_on_baseline_sort_kernels():
+    # A fresh interpreter with numpy's dispatched kernels switched off
+    # sorts on its baseline ones, and must build the same tables.
+    targets = _dispatched_cpu_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD kernel this CPU supports")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tables = []
+    for disabled in ("", " ".join(targets)):
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        done = subprocess.run(
+            [sys.executable, "-c", _NEIGHBOR_TABLES], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        tables.append(done.stdout)
+    assert tables[0] == tables[1]
+
+
 # --- spec validation ------------------------------------------------------------
 
 
@@ -380,16 +433,16 @@ def test_spec_rejects_unknown_kind_and_keys():
         ClassifierSpec(kind="svm")
     with pytest.raises(LearnError, match="unknown hyperparameters"):
         ClassifierSpec(kind="linear_svm", hyperparameters={"kernel": "rbf"})
-    spec = ClassifierSpec(kind="linear_svm", hyperparameters={"max_iter": 5})
-    assert spec.resolved()["max_iter"] == 5
-    assert spec.resolved()["l2"] == 1e-4
-    for key in ("epochs", "grad_tol", "step"):
-        with pytest.raises(LearnError, match="unknown hyperparameters"):
-            ClassifierSpec(kind="linear_svm", hyperparameters={key: 5})
-    with pytest.raises(LearnError, match="unknown hyperparameters"):
-        ClassifierSpec(kind="logistic_regression", hyperparameters={"step": 1.0})
-    assert ClassifierSpec(kind="logistic_regression").resolved() == {
-        "l2": 1e-4, "max_iter": 1000, "grad_tol": 1e-6,
+    spec = ClassifierSpec(kind="linear_svm", hyperparameters={"l2": 0.5})
+    assert spec.hyperparameters == {"l2": 0.5}
+    # The solver's stopping rules are constants, not settings.
+    for kind in LINEAR_KINDS:
+        for key in ("epochs", "grad_tol", "max_iter", "step"):
+            with pytest.raises(LearnError, match=re.escape("valid keys: ['l2']")):
+                ClassifierSpec(kind=kind, hyperparameters={key: 5})
+        assert ClassifierSpec(kind=kind).hyperparameters == {"l2": 1e-4}
+    assert ClassifierSpec(kind="random_forest").hyperparameters == {
+        "n_trees": 100, "mtry": None, "max_depth": None, "min_samples_split": 2,
     }
 
 
@@ -400,10 +453,11 @@ def test_spec_rejects_unknown_kind_and_keys():
         ("logistic_regression", {"l2": True}, "l2 must be a number"),
         ("logistic_regression", {"l2": -1.0}, "l2 must be >= 0"),
         ("logistic_regression", {"l2": float("nan")}, "l2 must be >= 0"),
-        ("logistic_regression", {"grad_tol": -1e-6}, "grad_tol must be >= 0"),
-        ("linear_svm", {"max_iter": -3}, "max_iter must be >= 0"),
-        ("linear_svm", {"max_iter": 10.0}, "max_iter must be an integer"),
-        ("linear_svm", {"max_iter": None}, "max_iter must be an integer"),
+        # Once settings, now refused by name whatever their value.
+        ("logistic_regression", {"grad_tol": -1e-6}, "unknown hyperparameters for logistic_regression"),
+        ("linear_svm", {"max_iter": -3}, "unknown hyperparameters for linear_svm: ['max_iter']"),
+        ("linear_svm", {"l2": -1e-6}, "l2 must be >= 0"),
+        ("linear_svm", {"l2": None}, "l2 must be a number, got None"),
         ("gaussian_nb", {"var_floor_ratio": 0.0}, "var_floor_ratio must be > 0"),
         ("gaussian_nb", {"var_floor_ratio": "1e-9"}, "var_floor_ratio must be a number"),
         ("decision_tree", {"max_depth": "3"}, "max_depth must be an integer or null"),
@@ -428,21 +482,22 @@ def test_spec_hyperparameters_are_read_only():
     with pytest.raises(TypeError):
         del spec.hyperparameters["n_trees"]
     given["n_trees"] = 0  # the spec holds its own copy
-    assert spec.resolved()["n_trees"] == 3
+    assert spec.hyperparameters == {**learn._DEFAULTS["random_forest"], "n_trees": 3}
     assert spec == ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": 3})
     reseeded = replace(spec, seed=7)
-    assert reseeded.hyperparameters == {"n_trees": 3} and reseeded.seed == 7
+    assert reseeded.hyperparameters == spec.hyperparameters and reseeded.seed == 7
     with pytest.raises(TypeError):
         reseeded.hyperparameters["n_trees"] = 0
 
 
 def test_spec_accepts_numpy_numbers_and_null_defaults():
+    ClassifierSpec(kind="logistic_regression", hyperparameters={"l2": 0})
+    ClassifierSpec(kind="linear_svm", hyperparameters={"l2": np.float64(0.0)})
     spec = ClassifierSpec(
-        kind="logistic_regression",
-        hyperparameters={"l2": 0, "max_iter": np.int64(5), "grad_tol": np.float64(0.0)},
+        kind="random_forest",
+        hyperparameters={"n_trees": np.int64(5), "max_depth": None, "mtry": None},
     )
-    assert spec.resolved()["max_iter"] == 5
-    ClassifierSpec(kind="random_forest", hyperparameters={"max_depth": None, "mtry": None})
+    assert spec.hyperparameters["n_trees"] == 5
     ClassifierSpec(kind="decision_tree", hyperparameters={"max_depth": 0})
 
 
@@ -494,16 +549,29 @@ def logistic_problems(draw):
 
 
 LINEAR_KINDS = ("logistic_regression", "linear_svm")
-_SVM_GRAD_TOL = 1e-6  # fixed inside _fit_linear_svm
+
+
+def _linear_settings(kind, **given):
+    """A linear model's settings with the solver's stopping rules: the
+    ``given`` ones over the defaults and ``_MAX_ITER``/``_GRAD_TOL``."""
+    stop = {"max_iter": learn._MAX_ITER, "grad_tol": learn._GRAD_TOL}
+    return {**learn._DEFAULTS[kind], **stop, **given}
+
+
+@contextlib.contextmanager
+def _stopping_at(hp):
+    """The solver's stopping rules patched to hp's max_iter and grad_tol."""
+    with mock.patch.object(learn, "_MAX_ITER", hp["max_iter"]):
+        with mock.patch.object(learn, "_GRAD_TOL", hp["grad_tol"]):
+            yield
 
 
 def _fit_linear_direct(kind, X, y, hp):
     """Call the model's fitter itself, so single-class labels reach the
-    solver too; returns (params, the settings it ran with)."""
-    if kind == "logistic_regression":
-        return learn._fit_logistic(X, y, hp), hp
-    params = learn._fit_linear_svm(X, y, {"l2": hp["l2"], "max_iter": hp["max_iter"]})
-    return params, {**hp, "grad_tol": _SVM_GRAD_TOL}
+    solver too, at hp's l2 and stopping rules."""
+    fitter = learn._fit_logistic if kind == "logistic_regression" else learn._fit_linear_svm
+    with _stopping_at(hp):
+        return fitter(X, y, {"l2": hp["l2"]})
 
 
 def _check_linear_fit(kind, X, y, hp, params):
@@ -528,7 +596,7 @@ _DEFAULT_BLOBS = noisy_blob_dataset(3)
 _DEFAULT_PROBLEM = (
     _DEFAULT_BLOBS.features,
     _DEFAULT_BLOBS.labels,
-    ClassifierSpec(kind="logistic_regression").resolved(),
+    _linear_settings("logistic_regression"),
 )
 
 
@@ -538,7 +606,7 @@ _DEFAULT_PROBLEM = (
 @settings(max_examples=300, deadline=None)
 def test_linear_fit_reaches_optimum(problem, kind):
     X, y, hp = problem
-    got, hp = _fit_linear_direct(kind, X, y, hp)
+    got = _fit_linear_direct(kind, X, y, hp)
     gnorm = _check_linear_fit(kind, X, y, hp, got)
     curve = got["loss_curve"]
     if len(curve) - 1 == hp["max_iter"]:
@@ -624,7 +692,7 @@ def _decimal_optimum(kind, Z, y, lam, digits=50):
 
 @pytest.mark.parametrize("kind", LINEAR_KINDS)
 @pytest.mark.parametrize("seed, d, l2", [(0, 1, 1e-4), (1, 2, 1e-4), (2, 2, 1e-1), (3, 1, 0.0)])
-def test_linear_fit_agrees_with_high_precision_optimum(kind, seed, d, l2):
+def test_linear_fit_agrees_with_high_precision_optimum(kind, seed, d, l2, monkeypatch):
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, 1.0, (24, d))
     y = (X.sum(axis=1) + rng.normal(0.0, 1.0, 24) > 0).astype(np.int64)  # overlapping
@@ -632,8 +700,9 @@ def test_linear_fit_agrees_with_high_precision_optimum(kind, seed, d, l2):
     # objective.  Near the optimum the objective moves by the square of
     # the distance, so comparing objectives pins the point to about
     # sqrt(eps); the SVM's generalised Newton ends on an exact solve.
-    hp = {"l2": l2, "grad_tol": 0.0} if kind == "logistic_regression" else {"l2": l2}
-    p = fit(ClassifierSpec(kind=kind, hyperparameters=hp), make_ds(X, y)).params
+    if kind == "logistic_regression":
+        monkeypatch.setattr(learn, "_GRAD_TOL", 0.0)
+    p = fit(ClassifierSpec(kind=kind, hyperparameters={"l2": l2}), make_ds(X, y)).params
     Z = learn._standardize_apply(X, p["mean"], p["std"], p["kept"])
     w, b, objective = _decimal_optimum(kind, Z, y, l2)
     assert p["loss_curve"][-1] == pytest.approx(objective, rel=1e-12)
@@ -653,11 +722,11 @@ def test_linear_fit_agrees_with_high_precision_optimum(kind, seed, d, l2):
 )
 def test_linear_fit_l2_zero_on_separable_data(kind, hp):
     ds = two_blob_ds(9)
-    spec = ClassifierSpec(kind=kind, hyperparameters=hp)
-    model = fit(spec, ds)
-    resolved = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
-    _check_linear_fit(kind, ds.features, ds.labels, resolved, model.params)
-    assert len(model.params["loss_curve"]) - 1 < resolved["max_iter"]
+    hp = _linear_settings(kind, **hp)
+    with _stopping_at(hp):
+        model = fit(ClassifierSpec(kind=kind, hyperparameters={"l2": hp["l2"]}), ds)
+    _check_linear_fit(kind, ds.features, ds.labels, hp, model.params)
+    assert len(model.params["loss_curve"]) - 1 < hp["max_iter"]
     assert train_accuracy(model, ds) == 1.0
 
 
@@ -678,7 +747,7 @@ def test_newton_reaches_grad_tol_in_few_iterations(kind, blobs_most, counts_most
     # Hessian converges linearly at best and needs far more.  The wide
     # bounds are the iterations the bordered solve took on that input.
     spec = ClassifierSpec(kind=kind)
-    hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
+    hp = _linear_settings(kind)
     cases = [(noisy_blob_dataset(seed), blobs_most) for seed in range(3)]
     cases.append((_poisson_counts(7, 300, 64), counts_most))  # the bordered solve: n > d
     wide_most = {"logistic_regression": 12, "linear_svm": 2}[kind]
@@ -822,7 +891,7 @@ def test_wide_fits_skip_the_bordered_hessian(kind, monkeypatch):
     for l2, ds, routine in cases:
         calls.clear()
         spec = ClassifierSpec(kind=kind, hyperparameters={"l2": l2})
-        hp = {"grad_tol": _SVM_GRAD_TOL, **spec.resolved()}
+        hp = _linear_settings(kind, l2=l2)
         p = fit(spec, ds).params
         iterations = len(p["loss_curve"]) - 1
         assert _check_linear_fit(kind, ds.features, ds.labels, hp, p) < hp["grad_tol"]
@@ -848,8 +917,8 @@ def _collinear_by_rounding():
 def test_linear_fit_singular_hessian(kind, problem):
     # No penalty, so nothing lifts the Hessian's zero eigenvalues.
     X, y = problem()
-    hp = ClassifierSpec(kind=kind, hyperparameters={"l2": 0.0}).resolved()
-    params, hp = _fit_linear_direct(kind, X, y, hp)
+    hp = _linear_settings(kind, l2=0.0)
+    params = _fit_linear_direct(kind, X, y, hp)
     gnorm = _check_linear_fit(kind, X, y, hp, params)
     assert len(params["loss_curve"]) - 1 < hp["max_iter"]
     assert gnorm < hp["grad_tol"]
@@ -861,7 +930,7 @@ def test_linear_fit_bias_only_when_every_feature_constant(kind):
     y = np.array([1, 1, 1, 0, 0, 0, 0])
     model = fit(ClassifierSpec(kind=kind), make_ds(X, y))
     p = model.params
-    _check_linear_fit(kind, X, y, ClassifierSpec(kind=kind).resolved(), p)
+    _check_linear_fit(kind, X, y, _linear_settings(kind), p)
     assert p["kept"].size == 0 and p["weights"].shape == (0,)
     # Closed forms: the log-odds of the classes, which the gradient stop
     # pins to within grad_tol / p(1 - p) = 1e-6 · 49/12; for the squared
@@ -876,8 +945,9 @@ def test_linear_fit_bias_only_when_every_feature_constant(kind):
 @pytest.mark.parametrize("kind", LINEAR_KINDS)
 def test_linear_fit_max_iter_zero(kind):
     ds = two_blob_ds(4, per=6)
-    hp = ClassifierSpec(kind=kind, hyperparameters={"max_iter": 0}).resolved()
-    p = fit(ClassifierSpec(kind=kind, hyperparameters={"max_iter": 0}), ds).params
+    hp = _linear_settings(kind, max_iter=0)
+    with _stopping_at(hp):
+        p = fit(ClassifierSpec(kind=kind), ds).params
     _check_linear_fit(kind, ds.features, ds.labels, hp, p)
     assert not p["weights"].any() and p["bias"] == 0.0
     assert len(p["loss_curve"]) == 1
@@ -1242,9 +1312,9 @@ def test_predictions_always_binary(kind, seed):
     X = rng.uniform(0, 10, (n, 3))
     y = rng.integers(0, 2, n)
     hp = {"n_trees": 10} if kind == "random_forest" else {}
-    if kind == "linear_svm":
-        hp = {"max_iter": 10}
-    model = fit(ClassifierSpec(kind=kind, hyperparameters=hp, seed=seed), make_ds(X, y))
+    max_iter = 10 if kind == "linear_svm" else learn._MAX_ITER
+    with mock.patch.object(learn, "_MAX_ITER", max_iter):
+        model = fit(ClassifierSpec(kind=kind, hyperparameters=hp, seed=seed), make_ds(X, y))
     out = predict_batch(model, rng.uniform(-5, 15, (8, 3)))
     assert set(out.tolist()) <= {0, 1}
     assert out.shape == (8,)
