@@ -119,9 +119,10 @@ def _parse_classifier_entry(index: int, entry) -> ClassifierSpec:
         raise ConfigError(f"classifiers[{index}]: unknown keys {unknown}")
     if "kind" not in entry:
         raise ConfigError(f"classifiers[{index}]: missing 'kind'")
-    return ClassifierSpec(
-        kind=entry["kind"], hyperparameters=entry.get("hyperparameters") or {}
-    )
+    hyperparameters = entry.get("hyperparameters")
+    if not isinstance(hyperparameters, (dict, type(None))):
+        raise ConfigError(f"classifiers[{index}]: hyperparameters must be an object")
+    return ClassifierSpec(kind=entry["kind"], hyperparameters=hyperparameters or {})
 
 
 def load_config(path) -> RunConfig:

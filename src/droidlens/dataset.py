@@ -136,13 +136,14 @@ def read_dataset(path) -> Dataset:
         if rows
         else np.empty((0, N_OPCODE_FEATURES), dtype=np.float64)
     )
-    # Opcode counts are never negative, and write_dataset refuses them.
-    negative = np.flatnonzero((features < 0).any(axis=1))
-    if negative.size:
-        row = int(negative[0])
-        raise DatasetError(
-            f"{path}: line {row + 2}: negative feature value {features[row].min():g}"
-        )
+    # Opcode counts are finite and never negative, and write_dataset
+    # refuses negative values.  The first bad cell in file order is named.
+    bad = ~(np.isfinite(features) & (features >= 0))
+    if bad.any():
+        row, col = np.unravel_index(np.argmax(bad), bad.shape)
+        value = features[row, col]
+        what = "negative" if np.isfinite(value) else "non-finite"
+        raise DatasetError(f"{path}: line {row + 2}: {what} feature value {value:g}")
     return Dataset(ids=tuple(ids), features=features, labels=np.array(labels, dtype=np.int64))
 
 

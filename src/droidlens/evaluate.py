@@ -3,7 +3,11 @@
 The clustered pipeline partitions each training split with k-means,
 balances each cluster with SMOTE, and trains one model per cluster;
 each test row goes to the model of its nearest centroid among the
-clusters that have training rows.  The plain pipeline, which trains
+clusters that have training rows.  A fold holds row indices into the
+one input Dataset: its training rows take their clusters from the
+labels of the k-means run that found the centroids (the fold's own,
+or the single run on all rows under the paper protocol), and only
+test rows are assigned to centroids.  The plain pipeline, which trains
 one model per fold on the whole training split, is implemented as that
 loop with one cluster and SMOTE off.
 
@@ -202,32 +206,33 @@ def run_clustered_pipeline(
     if ds.n < cluster_k * 2:
         raise EvalError(f"need at least {cluster_k * 2} rows for cluster_k={cluster_k}")
     folds = kfold_indices(ds.labels, k=k, seed=seed)
-    global_km = None
     if paper_protocol:
-        global_km, _ = kmeans(ds.features, cluster_k, seed=derive_seed(seed, "cluster"))
+        global_km, global_assign = kmeans(
+            ds.features, cluster_k, seed=derive_seed(seed, "cluster")
+        )
     all_rows = np.arange(ds.n)
     per_spec_folds: list[list[ConfusionCounts]] = [[] for _ in specs]
     for i, test_idx in enumerate(folds):
-        train = ds.take(np.setdiff1d(all_rows, test_idx))
-        test = ds.take(test_idx)
+        train_idx = np.setdiff1d(all_rows, test_idx)
+        test_X, test_y = ds.features[test_idx], ds.labels[test_idx]
         if paper_protocol:
-            km = global_km
+            km, train_assign = global_km, global_assign[train_idx]
         else:
-            km, _ = kmeans(train.features, cluster_k, seed=derive_seed(seed, "cluster", i))
-        train_assign = assign_clusters_batch(train.features, km.centroids)
+            km, train_assign = kmeans(
+                ds.features[train_idx], cluster_k, seed=derive_seed(seed, "cluster", i)
+            )
         live = np.unique(train_assign)
-        routed = live[assign_clusters_batch(test.features, km.centroids[live])]
+        routed = live[assign_clusters_batch(test_X, km.centroids[live])]
         if live.size < cluster_k:
-            nearest = assign_clusters_batch(test.features, km.centroids)
+            nearest = assign_clusters_batch(test_X, km.centroids)
             moved = int((routed != nearest).sum())
             if moved:
                 logger.info(
                     "fold %d: rerouted %d test rows from training-empty clusters", i, moved
                 )
-        non_empty = live.tolist()
         cluster_data: dict[int, Dataset] = {}
-        for c in non_empty:
-            sub = train.take(np.flatnonzero(train_assign == c))
+        for c in live.tolist():
+            sub = ds.take(train_idx[train_assign == c])
             counts = np.bincount(sub.labels, minlength=2)
             if smote and counts.min() >= 2:
                 sub = smote_balance(sub, seed=derive_seed(seed, "smote", i, c))
@@ -236,16 +241,15 @@ def run_clustered_pipeline(
                     "fold %d cluster %d: minority class too small to oversample", i, c
                 )
             cluster_data[c] = sub
-        del train  # nothing reads it past here; its rows are freed before any fit
         for s, spec in enumerate(specs):
-            preds = np.zeros(test.n, dtype=np.int64)
-            for c in non_empty:
+            preds = np.zeros(test_idx.size, dtype=np.int64)
+            for c, sub in cluster_data.items():
                 fit_spec = replace(spec, seed=derive_seed(seed, "fit", spec.kind, i, c))
-                model = _fit_with_context(fit_spec, cluster_data[c], i)
+                model = _fit_with_context(fit_spec, sub, i)
                 mask = routed == c
                 if mask.any():
-                    preds[mask] = predict_batch(model, test.features[mask])
-            per_spec_folds[s].append(ConfusionCounts.from_predictions(test.labels, preds))
+                    preds[mask] = predict_batch(model, test_X[mask])
+            per_spec_folds[s].append(ConfusionCounts.from_predictions(test_y, preds))
     rows = [
         ReportRow(kind=spec.kind, folds=tuple(spec_folds))
         for spec, spec_folds in zip(specs, per_spec_folds)

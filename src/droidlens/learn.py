@@ -110,19 +110,6 @@ class ClassifierModel:
     constant: int | None = None
 
 
-def _check_finite(X: np.ndarray) -> None:
-    if not np.isfinite(X).all():
-        raise LearnError("features contain NaN or infinity")
-
-
-def _training_arrays(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    if ds.n == 0:
-        raise LearnError("cannot fit on an empty dataset")
-    X = np.asarray(ds.features, dtype=np.float64)
-    _check_finite(X)
-    return X, np.asarray(ds.labels, dtype=np.int64)
-
-
 # --- SMOTE -------------------------------------------------------------------
 
 
@@ -131,10 +118,13 @@ def _neighbor_table(M: np.ndarray, k: int) -> np.ndarray:
     going to the lowest row index.  A row keeps every row nearer than
     its k-th smallest distance and the lowest-index rows at it, then
     stable-sorts those k: the first k of a stable sort of the whole row,
-    whichever kernel numpy sorts with.  Rows are ranked in blocks of
-    about 2^16 distances, so memory stays near m² floats."""
+    whichever kernel numpy sorts with.  The diagonal is NaN, which
+    partitions last and fails every ``<=``, so a row is never its own
+    neighbour even when overflow makes every distance infinite.  Rows
+    are ranked in blocks of about 2^16 distances, so memory stays near
+    m² floats."""
     dist = exact_distances(M)
-    np.fill_diagonal(dist, np.inf)
+    np.fill_diagonal(dist, np.nan)
     block = max(1, (1 << 16) // len(M))
     table = np.empty((len(M), k), dtype=np.intp)
     for r0 in range(0, len(M), block):
@@ -667,7 +657,10 @@ def _predict_random_forest(params: dict, X: np.ndarray) -> np.ndarray:
 
 
 def fit(spec: ClassifierSpec, ds: Dataset) -> ClassifierModel:
-    X, y = _training_arrays(ds)
+    """Fit ``spec`` to ``ds``, whose features a Dataset keeps finite float64."""
+    if ds.n == 0:
+        raise LearnError("cannot fit on an empty dataset")
+    X, y = ds.features, ds.labels
     classes = set(np.unique(y).tolist())
     if len(classes) == 1:
         only = int(next(iter(classes)))
@@ -695,7 +688,8 @@ def predict_batch(model: ClassifierModel, X) -> np.ndarray:
         raise LearnError(
             f"matrix has {X.shape[1]} features, model was fit on {model.params['dim']}"
         )
-    _check_finite(X)
+    if not np.isfinite(X).all():
+        raise LearnError("features contain NaN or infinity")
     if model.constant is not None:
         return np.full(X.shape[0], model.constant, dtype=np.int64)
     if model.kind in ("logistic_regression", "linear_svm"):

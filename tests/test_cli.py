@@ -154,20 +154,35 @@ def test_label_missing_report_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_label_rejects_negative_counts_before_any_fetch(tmp_path, capsys, monkeypatch):
+def _label_with_bad_cell(tmp_path, capsys, monkeypatch, cell) -> str:
+    """Run ``label`` on a feature CSV whose line 3 holds ``cell``; check
+    that it exits 1 before any oracle request, and return its stderr."""
     fetched = []
     monkeypatch.setattr(LabelOracle, "fetch", lambda self, h: fetched.append(h))
     rows = [[f"{i:02x}" * 32, "0"] + ["1"] * 256 for i in range(3)]
-    rows[1][40] = "-2"
+    rows[1][40] = cell
     features = tmp_path / "features.csv"
     features.write_text("\n".join(",".join(r) for r in [CSV_HEADER, *rows]) + "\n")
     reports = tmp_path / "reports"
     reports.mkdir()
     out = tmp_path / "labeled.csv"
     assert main(["label", str(features), "--oracle", str(reports), "-o", str(out)]) == 1
-    assert "line 3: negative feature value -2" in capsys.readouterr().err
     assert fetched == []
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_label_rejects_negative_counts_before_any_fetch(tmp_path, capsys, monkeypatch):
+    err = _label_with_bad_cell(tmp_path, capsys, monkeypatch, "-2")
+    assert "line 3: negative feature value -2" in err
+
+
+@pytest.mark.parametrize("cell, value", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
+def test_label_rejects_non_finite_counts_before_any_fetch(
+    tmp_path, capsys, monkeypatch, cell, value
+):
+    err = _label_with_bad_cell(tmp_path, capsys, monkeypatch, cell)
+    assert f"line 3: non-finite feature value {value}\n" in err
 
 
 @pytest.mark.parametrize(
@@ -388,6 +403,27 @@ def test_bad_hyperparameter_value_exits_1(labeled_csv, tmp_path, capsys, monkeyp
             assert "valid keys: ['l2']" in err
     assert not (tmp_path / "r.csv").exists()
     assert fits == []
+
+
+@pytest.mark.parametrize("hp", [[], 0, False, "", "abc"], ids=repr)
+def test_non_object_hyperparameters_exit_1(labeled_csv, tmp_path, capsys, monkeypatch, hp):
+    fits, real_fit = [], evaluate.fit
+    monkeypatch.setattr(evaluate, "fit", lambda spec, ds: fits.append(spec) or real_fit(spec, ds))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"classifiers": [
+        {"kind": "gaussian_nb"},
+        {"kind": "logistic_regression", "hyperparameters": hp},
+    ]}))
+    code = main(
+        ["eval", "plain", str(labeled_csv), "--config", str(config), "-o", str(tmp_path / "r.csv")]
+    )
+    assert code == 1
+    assert (
+        capsys.readouterr().err
+        == "droidlens: error: classifiers[1]: hyperparameters must be an object\n"
+    )
+    assert fits == []
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("hp", [{"n_trees": 0}, {"mtry": 0}])

@@ -433,6 +433,8 @@ def test_kmeans_matches_reference(kind, n, d, k_frac, seed):
     centroids, ref_labels, sse, iterations = _reference_kmeans(X, k, seed)
     assert np.array_equal(model.centroids, centroids)
     assert np.array_equal(labels, ref_labels)
+    # The fold loop routes training rows by these labels, not by a second pass.
+    assert np.array_equal(labels, assign_clusters_batch(X, model.centroids))
     assert model.sse == sse
     assert model.iterations == iterations
 

@@ -131,6 +131,21 @@ def test_non_numeric_cell_rejected(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "cell, value",
+    [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf")],
+)
+def test_non_finite_cell_names_line(tmp_path, cell, value):
+    path = tmp_path / "bad.csv"
+    rows = [["h0", "0"] + ["1"] * 256, ["h1", "1"] + ["1"] * 256]
+    rows[1][9] = cell
+    rows[1][12] = "-3"
+    path.write_text("\n".join(",".join(r) for r in [CSV_HEADER, *rows]) + "\n")
+    with pytest.raises(DatasetError) as info:
+        read_dataset(path)
+    assert str(info.value) == f"{path}: line 3: non-finite feature value {value}"
+
+
 def test_label_outside_01_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     row = ["h", "2"] + ["0"] * 256

@@ -404,7 +404,11 @@ def test_routing_matches_reference(problem):
     logger.setLevel(logging.INFO)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluate, "kmeans", lambda *a, **kw: (model, None))
+            mp.setattr(
+                evaluate,
+                "kmeans",
+                lambda X, *a, **kw: (model, clustering.assign_clusters_batch(X, centroids)),
+            )
             mp.setattr(evaluate, "fit", fit)
             mp.setattr(evaluate, "predict_batch", predict_batch)
             run_clustered_pipeline(
@@ -504,6 +508,26 @@ def test_leak_detector_fires_under_paper_protocol(monkeypatch):
     run_clustered_pipeline(ds, [LR], cluster_k=2, k=5, seed=3, paper_protocol=True)
     kmeans_calls = [rows for stage, rows in calls if stage == "kmeans"]
     assert kmeans_calls == [_rows(ds.features)]  # every row, test rows included
+
+
+@pytest.mark.parametrize("paper_protocol", [False, True], ids=["per-fold", "paper"])
+def test_only_test_rows_are_assigned_to_centroids(paper_protocol, monkeypatch):
+    # Training rows take their clusters from the k-means run that found
+    # the centroids, so no assignment pass sees more than a test fold.
+    ds = two_blob_dataset(8, per=15, sigma=2.0)
+    sizes = []
+    real_assign = evaluate.assign_clusters_batch
+
+    def assign_clusters_batch(X, centroids):
+        sizes.append(len(X))
+        return real_assign(X, centroids)
+
+    monkeypatch.setattr(evaluate, "assign_clusters_batch", assign_clusters_batch)
+    run_clustered_pipeline(
+        ds, [LR], cluster_k=2, k=5, seed=3, paper_protocol=paper_protocol
+    )
+    assert sizes
+    assert max(sizes) <= max(f.size for f in kfold_indices(ds.labels, k=5, seed=3))
 
 
 def test_smote_skipped_for_tiny_minority(caplog):

@@ -201,10 +201,11 @@ def _reference_tree_predict_one(tree, x):
 
 def _reference_neighbor_table(M, k):
     """SMOTE's neighbour table from the full m×m×d difference tensor,
-    each row stable-sorted whole: ties go to the lowest row index."""
+    each row stable-sorted whole: ties go to the lowest row index, and
+    the NaN diagonal sorts last, so a row is never its own neighbour."""
     gap = M[:, None, :] - M[None, :, :]
     dist = np.sqrt((gap * gap).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
+    np.fill_diagonal(dist, np.nan)
     return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
@@ -359,10 +360,16 @@ def neighbor_problems(draw):
 # differently from its baseline one; then ties at the k-th distance.
 @example(problem=(np.zeros((40, 3)), 5))
 @example(problem=(np.repeat([[0.0], [1.0]], [3, 30], axis=0), 5))
+# Distances that overflow to inf, tying the rows that are not duplicates.
+@example(problem=(np.array([[1e200, 0.0], [1e200, 0.0], [-1e200, 0.0]]), 2))
+@example(problem=(np.array([[0.0], [2e200], [-2e200], [1e200]]), 2))
 @settings(max_examples=300, deadline=None)
 def test_neighbor_table_matches_reference(problem):
     M, k = problem
-    assert np.array_equal(learn._neighbor_table(M, k), _reference_neighbor_table(M, k))
+    with np.errstate(over="ignore"):
+        table = learn._neighbor_table(M, k)
+        assert np.array_equal(table, _reference_neighbor_table(M, k))
+    assert not (table == np.arange(len(M))[:, None]).any()
 
 
 @pytest.mark.parametrize(
