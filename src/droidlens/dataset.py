@@ -19,6 +19,10 @@ from .errors import DatasetError, NoVerdictsError
 
 N_OPCODE_FEATURES = 256
 CSV_HEADER = ["id", "label"] + [f"op_{i:02x}" for i in range(N_OPCODE_FEATURES)]
+# Largest cell a feature CSV holds.  Opcode counts stay below 2**32; at
+# 2**53 a sum of squares over 256 columns is still far inside float64,
+# where a cell such as 1e200 makes k-means' distances overflow.
+_MAX_CELL = 2.0**53
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +99,10 @@ def write_dataset(ds: Dataset, path) -> None:
         )
     if ds.n and ds.features.min() < 0:
         raise DatasetError("negative feature values cannot be persisted as counts")
+    if ds.n and ds.features.max() > _MAX_CELL:
+        raise DatasetError(
+            f"feature value {ds.features.max():g} above 2**53 cannot be persisted"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -136,14 +144,20 @@ def read_dataset(path) -> Dataset:
         if rows
         else np.empty((0, N_OPCODE_FEATURES), dtype=np.float64)
     )
-    # Opcode counts are finite and never negative, and write_dataset
-    # refuses negative values.  The first bad cell in file order is named.
-    bad = ~(np.isfinite(features) & (features >= 0))
+    # Opcode counts are finite, never negative and at most _MAX_CELL, and
+    # write_dataset refuses other values.  The first bad cell in file
+    # order is named.
+    bad = ~((features >= 0) & (features <= _MAX_CELL))  # NaN fails both
     if bad.any():
         row, col = np.unravel_index(np.argmax(bad), bad.shape)
         value = features[row, col]
-        what = "negative" if np.isfinite(value) else "non-finite"
-        raise DatasetError(f"{path}: line {row + 2}: {what} feature value {value:g}")
+        if not np.isfinite(value):
+            what = f"non-finite feature value {value:g}"
+        elif value < 0:
+            what = f"negative feature value {value:g}"
+        else:
+            what = f"feature value {value:g} above 2**53"
+        raise DatasetError(f"{path}: line {row + 2}: {what}")
     return Dataset(ids=tuple(ids), features=features, labels=np.array(labels, dtype=np.int64))
 
 

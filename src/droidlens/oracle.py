@@ -18,12 +18,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .dataset import Dataset, ScanVerdicts, check_threshold, consensus_label
 from .errors import OracleError
 
 API_KEY_ENV = "DROIDLENS_ORACLE_KEY"
+_TIMEOUT_S = 30
 _HASH_RE = re.compile(r"^[0-9a-fA-F]{8,128}$")
 
 
@@ -42,12 +42,13 @@ class LabelOracle:
         fixture_dir=None,
         requests_per_minute: float = 4.0,
         api_key: str | None = None,
-        session=None,
         clock=time.monotonic,
         sleep=time.sleep,
     ) -> None:
         if (base_url is None) == (fixture_dir is None):
             raise OracleError("configure exactly one of base_url or fixture_dir")
+        if base_url is not None and not base_url.startswith(("http://", "https://")):
+            raise OracleError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
         if not 0 < requests_per_minute < math.inf:  # also false for NaN
             raise OracleError(
                 f"requests_per_minute must be finite and positive, got {requests_per_minute}"
@@ -60,7 +61,6 @@ class LabelOracle:
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if self._base_url and not self._api_key:
             raise OracleError(f"live oracle needs an API key; set {API_KEY_ENV}")
-        self._session = session
         self._clock = clock
         self._sleep = sleep
         self._last_request: float | None = None
@@ -94,20 +94,35 @@ class LabelOracle:
             raise OracleError(f"unreadable fixture {path}: {exc}") from None
 
     def _fetch_live(self, file_hash: str) -> dict:
+        # Imported here, not at the top: urllib.request loads http.client
+        # and ssl, 3.2 MB that only a live lookup needs.
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        class RefuseRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):
+                return None  # a 3xx is an HTTPError: the key goes to base_url only
+
         self._throttle()
-        if self._session is None:
-            self._session = requests.Session()
-        url = f"{self._base_url}/report/{file_hash}"
+        request = urllib.request.Request(
+            f"{self._base_url}/report/{file_hash}", headers={"x-apikey": self._api_key}
+        )
+        opener = urllib.request.build_opener(RefuseRedirect)
         try:
-            resp = self._session.get(url, headers={"x-apikey": self._api_key}, timeout=30)
-        except requests.RequestException as exc:
+            with opener.open(request, timeout=_TIMEOUT_S) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status = exc.code
+        except (OSError, http.client.HTTPException) as exc:
             raise OracleError(f"request failed for {file_hash}: {exc}") from None
-        if resp.status_code == 404:
+        if status == 404:
             raise OracleError(f"no report on record for {file_hash}")
-        if resp.status_code != 200:
-            raise OracleError(f"oracle returned HTTP {resp.status_code} for {file_hash}")
+        if status != 200:
+            raise OracleError(f"oracle returned HTTP {status} for {file_hash}")
         try:
-            return resp.json()
+            return json.loads(body)
         except ValueError as exc:
             raise OracleError(f"non-JSON response for {file_hash}: {exc}") from None
 

@@ -185,6 +185,21 @@ def test_label_rejects_non_finite_counts_before_any_fetch(
     assert f"line 3: non-finite feature value {value}\n" in err
 
 
+@pytest.mark.parametrize("command", [["eval", "clustered"], ["cluster-compare"]])
+def test_cell_above_2_pow_53_exits_1(labeled_csv, tmp_path, capsys, command):
+    # Such a cell would overflow k-means' squared distances into NaN.
+    lines = labeled_csv.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[20] = "1e200"
+    lines[2] = ",".join(cells)
+    labeled_csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    assert main([*command, str(labeled_csv), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"droidlens: error: {labeled_csv}: line 3: feature value 1e+200 above 2**53\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

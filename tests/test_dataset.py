@@ -146,6 +146,20 @@ def test_non_finite_cell_names_line(tmp_path, cell, value):
     assert str(info.value) == f"{path}: line 3: non-finite feature value {value}"
 
 
+def test_cell_above_2_pow_53_names_line(tmp_path):
+    path = tmp_path / "big.csv"
+    rows = [["h0", "0"] + ["1"] * 256, ["h1", "1"] + ["1"] * 256]
+    rows[0][5] = str(2**53)  # the bound itself is a count
+    rows[1][9] = "1e200"
+    path.write_text("\n".join(",".join(r) for r in [CSV_HEADER, *rows]) + "\n")
+    with pytest.raises(DatasetError) as info:
+        read_dataset(path)
+    assert str(info.value) == f"{path}: line 3: feature value 1e+200 above 2**53"
+    rows[1][9] = "1"
+    path.write_text("\n".join(",".join(r) for r in [CSV_HEADER, *rows]) + "\n")
+    assert read_dataset(path).features[0, 3] == 2.0**53
+
+
 def test_label_outside_01_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     row = ["h", "2"] + ["0"] * 256
@@ -169,6 +183,14 @@ def test_wrong_width_not_writable(tmp_path):
     ds = make_ds([[1.0, 2.0]], [0])
     with pytest.raises(DatasetError, match="256"):
         write_dataset(ds, tmp_path / "w.csv")
+
+
+def test_cells_above_2_pow_53_not_writable(tmp_path):
+    features = np.zeros((1, 256))
+    features[0, 3] = 1e200
+    with pytest.raises(DatasetError, match=r"1e\+200 above 2\*\*53"):
+        write_dataset(make_ds(features, [0]), tmp_path / "w.csv")
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_negative_features_not_writable(tmp_path):

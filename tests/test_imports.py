@@ -1,4 +1,6 @@
-"""numpy is the only numeric dependency the package declares."""
+"""numpy is the only dependency the package declares, and importing
+droidlens loads no HTTP client: the live oracle imports the standard
+library's on its first lookup."""
 
 import os
 import subprocess
@@ -15,6 +17,8 @@ for name in names:
     importlib.import_module(name)
 print(len(names))
 print(" ".join(sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "sklearn"})))
+http = {"requests", "urllib3", "urllib.request", "http.client", "ssl"}
+print(" ".join(sorted(set(sys.modules) & http)))
 """
 
 
@@ -30,3 +34,4 @@ def test_no_module_imports_scipy_or_sklearn():
     ).stdout.split("\n")
     assert int(out[0]) >= 9  # every module was found and imported
     assert out[1] == ""
+    assert out[2] == ""  # no HTTP client, not even the standard library's

@@ -2,11 +2,14 @@
 
 import json
 import math
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-import requests
 
+from droidlens import oracle as oracle_module
 from droidlens.dataset import Dataset
 from droidlens.errors import OracleError
 from droidlens.oracle import API_KEY_ENV, LabelOracle, relabel
@@ -87,80 +90,155 @@ def test_exactly_one_source_required(fixture_dir):
         LabelOracle(base_url="https://x", fixture_dir=fixture_dir)
 
 
-# --- Live mode (fake transport) --------------------------------------------
+# --- Live mode (loopback HTTP) ----------------------------------------------
 
 
-class FakeResponse:
-    def __init__(self, status_code, body=None, raw=None):
-        self.status_code = status_code
-        self._body = body
-        self._raw = raw
+class Loopback:
+    """An HTTP server on 127.0.0.1 that answers each GET with the next
+    scripted (status, body, headers) reply and records the path and
+    headers of each request.  A reply of ``STALL`` answers nothing until
+    the server closes."""
 
-    def json(self):
-        if self._body is None:
-            raise ValueError("no body")
-        return self._body
+    def __init__(self):
+        self.replies = []
+        self.seen = []  # (path, headers); header names read case-insensitively
+        self.released = threading.Event()
+        loopback = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                loopback.seen.append((self.path, self.headers))
+                reply = loopback.replies.pop(0)
+                if reply is STALL:
+                    loopback.released.wait(10)
+                    return
+                status, body, headers = reply
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = False  # server_close joins the handlers
+        self.url = f"http://127.0.0.1:{self.server.server_port}"
+        self._thread = threading.Thread(target=self.server.serve_forever, args=(0.01,))
+        self._thread.start()
+
+    def script(self, *replies):
+        self.replies.extend(replies)
+
+    def close(self):
+        self.released.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self._thread.join(5)
+        assert not self._thread.is_alive()
 
 
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def get(self, url, headers=None, timeout=None):
-        self.calls.append({"url": url, "headers": headers, "timeout": timeout})
-        result = self.responses.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
+STALL = object()
+REPORT = json.dumps({"engines": {"AV": {"detected": True}}}).encode()
 
 
-def live_oracle(session, **kwargs):
+def reply(status, body=b"", **headers):
+    return (status, body, headers)
+
+
+@pytest.fixture
+def new_server(monkeypatch):
+    """Start loopback servers on demand; all close at teardown."""
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    servers = []
+
+    def start():
+        servers.append(Loopback())
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+@pytest.fixture
+def server(new_server):
+    return new_server()
+
+
+def live_oracle(server, **kwargs):
     kwargs.setdefault("requests_per_minute", 100000)
-    return LabelOracle(base_url="https://oracle.test/v1", api_key="k123", session=session, **kwargs)
+    return LabelOracle(base_url=server.url + "/v1/", api_key="k123", **kwargs)
 
 
-def test_live_request_shape():
-    session = FakeSession([FakeResponse(200, {"engines": {"AV": {"detected": True}}})])
-    oracle = live_oracle(session)
-    verdicts = oracle.fetch(HASH_A)
+def test_live_request_shape(server):
+    server.script(reply(200, REPORT))
+    verdicts = live_oracle(server).fetch(HASH_A.upper())
     assert verdicts.detections == 1
-    call = session.calls[0]
-    assert call["url"] == f"https://oracle.test/v1/report/{HASH_A}"
-    assert call["headers"]["x-apikey"] == "k123"
-    assert call["timeout"] is not None
+    [(path, headers)] = server.seen
+    assert path == f"/v1/report/{HASH_A}"
+    assert headers["x-apikey"] == "k123"
 
 
-def test_live_404_and_500():
-    oracle = live_oracle(FakeSession([FakeResponse(404), FakeResponse(500)]))
-    with pytest.raises(OracleError, match="no report"):
-        oracle.fetch(HASH_A)
-    with pytest.raises(OracleError, match="500"):
-        oracle.fetch(HASH_A)
-
-
-def test_live_transport_error_and_bad_json():
-    session = FakeSession([requests.ConnectionError("boom"), FakeResponse(200)])
-    oracle = live_oracle(session)
-    with pytest.raises(OracleError, match="request failed"):
-        oracle.fetch(HASH_A)
-    with pytest.raises(OracleError, match="non-JSON"):
-        oracle.fetch(HASH_A)
-
-
-def test_api_key_from_environment(monkeypatch):
+def test_api_key_from_environment(server, monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "env-key")
-    session = FakeSession([FakeResponse(200, {"engines": {"AV": {"detected": False}}})])
-    oracle = LabelOracle(base_url="https://oracle.test", session=session,
-                         requests_per_minute=100000)
-    oracle.fetch(HASH_A)
-    assert session.calls[0]["headers"]["x-apikey"] == "env-key"
+    server.script(reply(200, REPORT))
+    LabelOracle(base_url=server.url, requests_per_minute=100000).fetch(HASH_A)
+    assert server.seen[0][1]["X-APIKEY"] == "env-key"
+
+
+def test_live_404_and_500(server):
+    # A 2xx other than 200 is refused like any other status.
+    server.script(reply(404), reply(500, b"oops"), reply(204))
+    oracle = live_oracle(server)
+    with pytest.raises(OracleError, match=f"^no report on record for {HASH_A}$"):
+        oracle.fetch(HASH_A)
+    for status in (500, 204):
+        with pytest.raises(OracleError, match=f"^oracle returned HTTP {status} for {HASH_A}$"):
+            oracle.fetch(HASH_A)
+
+
+def test_live_transport_error_and_bad_json(server):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        closed = f"http://127.0.0.1:{sock.getsockname()[1]}"
+    with pytest.raises(OracleError, match=f"^request failed for {HASH_A}: "):
+        LabelOracle(base_url=closed, api_key="k").fetch(HASH_A)
+    server.script(reply(200, b"<html>"))
+    with pytest.raises(OracleError, match=f"^non-JSON response for {HASH_A}: "):
+        live_oracle(server).fetch(HASH_A)
+
+
+def test_live_stalled_server_times_out(server, monkeypatch):
+    monkeypatch.setattr(oracle_module, "_TIMEOUT_S", 0.2)
+    server.script(STALL)
+    with pytest.raises(OracleError, match=f"^request failed for {HASH_A}: "):
+        live_oracle(server).fetch(HASH_A)
+
+
+def test_live_redirect_refused_and_key_kept(new_server):
+    origin, elsewhere = new_server(), new_server()
+    origin.script(reply(302, Location=f"{elsewhere.url}/v1/report/{HASH_A}"))
+    elsewhere.script(reply(200, REPORT))
+    with pytest.raises(OracleError, match=f"^oracle returned HTTP 302 for {HASH_A}$"):
+        live_oracle(origin).fetch(HASH_A)
+    assert len(origin.seen) == 1
+    assert elsewhere.seen == []
 
 
 def test_missing_api_key_rejected(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     with pytest.raises(OracleError, match=API_KEY_ENV):
         LabelOracle(base_url="https://oracle.test")
+
+
+def test_non_http_base_url_rejected():
+    for url in ("file:///etc", "ftp://oracle.test", "oracle.test"):
+        with pytest.raises(OracleError, match="http:// or https://"):
+            LabelOracle(base_url=url, api_key="k")
 
 
 # --- Rate limiting ----------------------------------------------------------
@@ -179,14 +257,11 @@ class FakeClock:
         self.now += seconds
 
 
-def test_rate_limit_spacing():
-    body = {"engines": {"AV": {"detected": True}}}
-    session = FakeSession([FakeResponse(200, body)] * 3)
+def test_rate_limit_spacing(server):
+    server.script(*[reply(200, REPORT)] * 3)
     fake = FakeClock()
-    oracle = LabelOracle(
-        base_url="https://oracle.test",
-        api_key="k",
-        session=session,
+    oracle = live_oracle(
+        server,
         requests_per_minute=60,  # one per second
         clock=fake.clock,
         sleep=fake.sleep,
@@ -199,6 +274,7 @@ def test_rate_limit_spacing():
     fake.now += 5.0  # long gap, no sleep needed
     oracle.fetch(HASH_A)
     assert len(fake.sleeps) == 1
+    assert len(server.seen) == 3
 
 
 def test_bad_rate_rejected():

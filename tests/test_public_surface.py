@@ -15,8 +15,8 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parent.parent
 
 # Test seams and the credential: the API key (also read from the
-# environment), the HTTP session, and the rate limiter's clock and sleep.
-_ALLOWED = {("LabelOracle", name) for name in ("api_key", "session", "clock", "sleep")}
+# environment) and the rate limiter's clock and sleep.
+_ALLOWED = {("LabelOracle", name) for name in ("api_key", "clock", "sleep")}
 
 
 def _defaulted(fn: ast.FunctionDef, bound: bool):
