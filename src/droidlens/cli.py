@@ -131,7 +131,7 @@ def load_config(path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -257,13 +257,7 @@ def _cmd_label(args) -> int:
     src = _require_file(args.features)
     out = _check_output(args.output)
     ds = read_dataset(src)
-    if args.oracle.startswith(("http://", "https://")):
-        oracle = LabelOracle(base_url=args.oracle, requests_per_minute=args.rpm)
-    else:
-        fixture_dir = Path(args.oracle)
-        if not fixture_dir.is_dir():
-            raise ConfigError(f"oracle fixture directory not found: {fixture_dir}")
-        oracle = LabelOracle(fixture_dir=fixture_dir, requests_per_minute=args.rpm)
+    oracle = LabelOracle(args.oracle, requests_per_minute=args.rpm)
     labeled = relabel(ds, oracle, threshold=args.threshold)
     _write_dataset(out, labeled)
     malware = int(labeled.labels.sum())
@@ -433,10 +427,7 @@ def main(argv=None) -> int:
     try:
         _setup_logging(args.verbose, args.log_file)
         return args.func(args)
-    except DroidlensError as exc:
-        print(f"droidlens: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DroidlensError, OSError) as exc:
         print(f"droidlens: error: {exc}", file=sys.stderr)
         return 1
 

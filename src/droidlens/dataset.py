@@ -112,9 +112,21 @@ def write_dataset(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
+def _csv_rows(path, fh):
+    """The CSV records of ``fh``; a non-UTF-8 byte or a csv error (such
+    as a cell above the field size limit) raises DatasetError naming ``path``."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def read_dataset(path) -> Dataset:
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:

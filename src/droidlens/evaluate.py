@@ -1,13 +1,13 @@
 """Cross-validated evaluation of the two pipelines.
 
-The clustered pipeline partitions each training split with k-means,
-balances each cluster with SMOTE, and trains one model per cluster;
-each test row goes to the model of its nearest centroid among the
-clusters that have training rows.  A fold holds row indices into the
-one input Dataset: its training rows take their clusters from the
-labels of the k-means run that found the centroids (the fold's own,
-or the single run on all rows under the paper protocol), and only
-test rows are assigned to centroids.  The plain pipeline, which trains
+The clustered pipeline partitions each training split with k-means;
+each test row goes to its nearest centroid among the clusters that
+have training rows, and each cluster some test row reaches is
+balanced with SMOTE and trains one model.  A fold holds row indices
+into the one input Dataset: its training rows take their clusters
+from the labels of the k-means run that found the centroids (the
+fold's own, or the single run on all rows under the paper protocol),
+and only test rows are assigned to centroids.  The plain pipeline, which trains
 one model per fold on the whole training split, is implemented as that
 loop with one cluster and SMOTE off.
 
@@ -231,7 +231,7 @@ def run_clustered_pipeline(
                     "fold %d: rerouted %d test rows from training-empty clusters", i, moved
                 )
         cluster_data: dict[int, Dataset] = {}
-        for c in live.tolist():
+        for c in np.unique(routed).tolist():
             sub = ds.take(train_idx[train_assign == c])
             counts = np.bincount(sub.labels, minlength=2)
             if smote and counts.min() >= 2:
@@ -247,8 +247,7 @@ def run_clustered_pipeline(
                 fit_spec = replace(spec, seed=derive_seed(seed, "fit", spec.kind, i, c))
                 model = _fit_with_context(fit_spec, sub, i)
                 mask = routed == c
-                if mask.any():
-                    preds[mask] = predict_batch(model, test_X[mask])
+                preds[mask] = predict_batch(model, test_X[mask])
             per_spec_folds[s].append(ConfusionCounts.from_predictions(test_y, preds))
     rows = [
         ReportRow(kind=spec.kind, folds=tuple(spec_folds))

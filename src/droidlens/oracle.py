@@ -1,10 +1,10 @@
 """Scan-report oracle client with an offline fixture mode.
 
 Live mode speaks a REST shape compatible with common scan-report APIs:
-GET <base_url>/report/<sha256> returning
+GET <source>/report/<sha256> returning
 ``{"engines": {"<name>": {"detected": <bool>}, ...}}`` with the API key
 in the ``x-apikey`` header.  Fixture mode replays the same JSON bodies
-from ``<fixture_dir>/<sha256>.json`` so tests and air-gapped runs never
+from ``<source>/<sha256>.json`` so tests and air-gapped runs never
 touch the network.
 """
 
@@ -30,33 +30,33 @@ _HASH_RE = re.compile(r"^[0-9a-fA-F]{8,128}$")
 class LabelOracle:
     """Sequential, rate-limited verdict lookups.
 
-    Exactly one of ``base_url`` / ``fixture_dir`` must be given.  The
-    clock and sleep functions are injectable so rate limiting is
-    testable without real delays.  Not thread-safe; one client per
-    worker.
+    A ``source`` beginning ``http://`` or ``https://`` is the base URL
+    of a live report service; anything else is a fixture directory,
+    which must exist.  The clock and sleep functions are injectable so
+    rate limiting is testable without real delays.  Not thread-safe;
+    one client per worker.
     """
 
     def __init__(
         self,
-        base_url: str | None = None,
-        fixture_dir=None,
+        source,
         requests_per_minute: float = 4.0,
         api_key: str | None = None,
         clock=time.monotonic,
         sleep=time.sleep,
     ) -> None:
-        if (base_url is None) == (fixture_dir is None):
-            raise OracleError("configure exactly one of base_url or fixture_dir")
-        if base_url is not None and not base_url.startswith(("http://", "https://")):
-            raise OracleError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
+        source = str(source)
         if not 0 < requests_per_minute < math.inf:  # also false for NaN
             raise OracleError(
                 f"requests_per_minute must be finite and positive, got {requests_per_minute}"
             )
-        self._base_url = base_url.rstrip("/") if base_url else None
-        self._fixture_dir = Path(fixture_dir) if fixture_dir is not None else None
-        if self._fixture_dir is not None and not self._fixture_dir.is_dir():
-            raise OracleError(f"fixture directory not found: {self._fixture_dir}")
+        self._base_url = self._fixture_dir = None
+        if source.startswith(("http://", "https://")):
+            self._base_url = source.rstrip("/")
+        elif Path(source).is_dir():
+            self._fixture_dir = Path(source)
+        else:
+            raise OracleError(f"fixture directory not found: {source}")
         self._interval = 60.0 / requests_per_minute
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if self._base_url and not self._api_key:
@@ -79,21 +79,19 @@ class LabelOracle:
         if not _HASH_RE.match(file_hash):
             raise OracleError(f"malformed file hash: {file_hash!r}")
         if self._fixture_dir is not None:
-            body = self._fetch_fixture(file_hash)
+            path = self._fixture_dir / f"{file_hash}.json"
+            if not path.is_file():
+                raise OracleError(f"no recorded report for {file_hash} in {self._fixture_dir}")
+            body, undecodable = path.read_bytes(), f"unreadable fixture {path}"
         else:
-            body = self._fetch_live(file_hash)
-        return _parse_report(file_hash, body)
-
-    def _fetch_fixture(self, file_hash: str) -> dict:
-        path = self._fixture_dir / f"{file_hash}.json"
-        if not path.is_file():
-            raise OracleError(f"no recorded report for {file_hash} in {self._fixture_dir}")
+            body, undecodable = self._fetch_live(file_hash), f"non-JSON response for {file_hash}"
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise OracleError(f"unreadable fixture {path}: {exc}") from None
+            report = json.loads(body)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise OracleError(f"{undecodable}: {exc}") from None
+        return _parse_report(file_hash, report)
 
-    def _fetch_live(self, file_hash: str) -> dict:
+    def _fetch_live(self, file_hash: str) -> bytes:
         # Imported here, not at the top: urllib.request loads http.client
         # and ssl, 3.2 MB that only a live lookup needs.
         import http.client
@@ -121,10 +119,7 @@ class LabelOracle:
             raise OracleError(f"no report on record for {file_hash}")
         if status != 200:
             raise OracleError(f"oracle returned HTTP {status} for {file_hash}")
-        try:
-            return json.loads(body)
-        except ValueError as exc:
-            raise OracleError(f"non-JSON response for {file_hash}: {exc}") from None
+        return body
 
 
 def _parse_report(file_hash: str, body) -> ScanVerdicts:
@@ -144,8 +139,10 @@ def relabel(ds: Dataset, oracle: LabelOracle, threshold: int = 1) -> Dataset:
     """Replace labels with the consensus verdict for each row id.
 
     Row ids must be the file hashes the histograms were extracted from.
-    The threshold is checked before the first request.
+    Each distinct id is looked up once, in row order.  The threshold is
+    checked before the first request.
     """
     check_threshold(threshold)
-    labels = [consensus_label(oracle.fetch(row_id), threshold) for row_id in ds.ids]
+    by_id = {i: consensus_label(oracle.fetch(i), threshold) for i in dict.fromkeys(ds.ids)}
+    labels = [by_id[row_id] for row_id in ds.ids]
     return Dataset(ids=ds.ids, features=ds.features, labels=np.array(labels, dtype=np.int64))

@@ -154,6 +154,16 @@ def test_label_missing_report_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_label_missing_fixture_dir_exits_1(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    write_dataset(make_ds(np.ones((2, 256)), [0, 1]), features)
+    missing = tmp_path / "missing"
+    out = tmp_path / "labeled.csv"
+    assert main(["label", str(features), "--oracle", str(missing), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"droidlens: error: fixture directory not found: {missing}\n"
+    assert not out.exists()
+
+
 def _label_with_bad_cell(tmp_path, capsys, monkeypatch, cell) -> str:
     """Run ``label`` on a feature CSV whose line 3 holds ``cell``; check
     that it exits 1 before any oracle request, and return its stderr."""
@@ -485,6 +495,50 @@ def test_compare_summary(labeled_csv, tmp_path):
         "Random Forest",
     ):
         assert any(ln.startswith(f"| {name} |") for ln in table)
+
+
+_HASH = "ab" * 32
+_HEADER = ",".join(CSV_HEADER).encode() + b"\n"
+_ROW = ",".join([_HASH, "0"] + ["1"] * 256).encode() + b"\n"
+_DEEP = b"[" * 100_000  # deeper than the interpreter's recursion limit
+
+
+@pytest.mark.parametrize(
+    "read_as, content",
+    [
+        ("csv", _HEADER.replace(b"op_05", b"op_\xff5") + _ROW),
+        ("csv", _HEADER + _ROW.replace(_HASH.encode(), b"a" * 200_000)),
+        ("config", b'{"seed": 1}\xff'),
+        ("config", _DEEP),
+        ("config", b'{"classifiers": [{"kind": "decision_tree", "hyperparameters": '
+         b'{"max_depth": ' + _DEEP + b"}}]}"),
+        ("fixture", b'{"engines": {}}\xff'),
+        ("fixture", _DEEP),
+    ],
+    ids=[
+        "csv-0xff-header", "csv-huge-cell", "config-0xff", "config-deep",
+        "config-deep-hyperparameters", "fixture-0xff", "fixture-deep",
+    ],
+)
+def test_undecodable_input_exits_1_naming_the_file(tmp_path, capsys, read_as, content):
+    features = tmp_path / "features.csv"
+    features.write_bytes(_HEADER + _ROW)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    config = tmp_path / "run.json"
+    bad = {"csv": features, "config": config, "fixture": reports / f"{_HASH}.json"}[read_as]
+    bad.write_bytes(content)
+    argv = {
+        "csv": ["eval", "plain", str(features)],
+        "config": ["eval", "plain", str(features), "--config", str(config)],
+        "fixture": ["label", str(features), "--oracle", str(reports)],
+    }[read_as]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("droidlens: error: ")
+    assert str(bad) in err
+    assert not out.exists()
 
 
 # --- config object ------------------------------------------------------------------

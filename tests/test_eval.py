@@ -530,6 +530,27 @@ def test_only_test_rows_are_assigned_to_centroids(paper_protocol, monkeypatch):
     assert max(sizes) <= max(f.size for f in kfold_indices(ds.labels, k=5, seed=3))
 
 
+def test_clusters_no_test_row_reaches_are_not_fitted(monkeypatch):
+    # Three far rows form a cluster of their own in every fold; a fold
+    # whose test rows hold none of them neither oversamples nor fits it.
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(0, 1, (30, 2)), rng.normal(100, 1, (3, 2))])
+    ds = make_ds(X, [0, 1] * 15 + [0, 1, 0])
+    far = X[:, 0] > 50
+    fits_with_far_rows = []
+    real_fit = evaluate.fit
+
+    def fit(spec, sub):
+        fits_with_far_rows.append(bool((sub.features[:, 0] > 50).any()))
+        return real_fit(spec, sub)
+
+    monkeypatch.setattr(evaluate, "fit", fit)
+    run_clustered_pipeline(ds, [LR], cluster_k=2, k=5, seed=0)
+    reached = sum(bool(far[test].any()) for test in kfold_indices(ds.labels, k=5, seed=0))
+    assert reached < 5
+    assert sum(fits_with_far_rows) == reached
+
+
 def test_smote_skipped_for_tiny_minority(caplog):
     rng = np.random.default_rng(6)
     X = np.vstack([rng.normal(0, 1, (19, 2)), [[0.0, 0.0]]])

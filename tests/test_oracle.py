@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from droidlens import oracle as oracle_module
-from droidlens.dataset import Dataset
+from droidlens.dataset import Dataset, ScanVerdicts
 from droidlens.errors import OracleError
 from droidlens.oracle import API_KEY_ENV, LabelOracle, relabel
 
@@ -34,7 +34,7 @@ def fixture_dir(tmp_path):
 
 
 def test_fixture_replay(fixture_dir):
-    oracle = LabelOracle(fixture_dir=fixture_dir)
+    oracle = LabelOracle(fixture_dir)
     verdicts = oracle.fetch(HASH_A)
     assert verdicts.file_hash == HASH_A
     assert dict(verdicts.engines) == {"AVOne": True, "AVTwo": False}
@@ -42,19 +42,19 @@ def test_fixture_replay(fixture_dir):
 
 
 def test_fixture_hash_is_case_insensitive(fixture_dir):
-    oracle = LabelOracle(fixture_dir=fixture_dir)
+    oracle = LabelOracle(fixture_dir)
     assert oracle.fetch(HASH_A.upper()).detections == 1
 
 
 def test_missing_fixture_errors(fixture_dir):
-    oracle = LabelOracle(fixture_dir=fixture_dir)
+    oracle = LabelOracle(fixture_dir)
     with pytest.raises(OracleError, match="no recorded report"):
         oracle.fetch("c" * 64)
 
 
 def test_bad_fixture_json(fixture_dir):
     (fixture_dir / ("d" * 64 + ".json")).write_text("{not json")
-    oracle = LabelOracle(fixture_dir=fixture_dir)
+    oracle = LabelOracle(fixture_dir)
     with pytest.raises(OracleError, match="unreadable"):
         oracle.fetch("d" * 64)
 
@@ -64,7 +64,7 @@ def test_malformed_report_shapes(fixture_dir):
     (fixture_dir / ("f" * 64 + ".json")).write_text(
         json.dumps({"engines": {"AV": {"detected": "yes"}}})
     )
-    oracle = LabelOracle(fixture_dir=fixture_dir)
+    oracle = LabelOracle(fixture_dir)
     with pytest.raises(OracleError, match="engines"):
         oracle.fetch("e" * 64)
     with pytest.raises(OracleError, match="detected"):
@@ -72,7 +72,7 @@ def test_malformed_report_shapes(fixture_dir):
 
 
 def test_hash_validation_blocks_path_tricks(fixture_dir):
-    oracle = LabelOracle(fixture_dir=fixture_dir)
+    oracle = LabelOracle(fixture_dir)
     for bad in ("../secret", "xyz", "", "a" * 7, "a" * 129):
         with pytest.raises(OracleError, match="malformed"):
             oracle.fetch(bad)
@@ -80,14 +80,7 @@ def test_hash_validation_blocks_path_tricks(fixture_dir):
 
 def test_missing_fixture_dir():
     with pytest.raises(OracleError, match="not found"):
-        LabelOracle(fixture_dir="/no/such/dir")
-
-
-def test_exactly_one_source_required(fixture_dir):
-    with pytest.raises(OracleError, match="exactly one"):
-        LabelOracle()
-    with pytest.raises(OracleError, match="exactly one"):
-        LabelOracle(base_url="https://x", fixture_dir=fixture_dir)
+        LabelOracle("/no/such/dir")
 
 
 # --- Live mode (loopback HTTP) ----------------------------------------------
@@ -171,7 +164,7 @@ def server(new_server):
 
 def live_oracle(server, **kwargs):
     kwargs.setdefault("requests_per_minute", 100000)
-    return LabelOracle(base_url=server.url + "/v1/", api_key="k123", **kwargs)
+    return LabelOracle(server.url + "/v1/", api_key="k123", **kwargs)
 
 
 def test_live_request_shape(server):
@@ -186,7 +179,7 @@ def test_live_request_shape(server):
 def test_api_key_from_environment(server, monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "env-key")
     server.script(reply(200, REPORT))
-    LabelOracle(base_url=server.url, requests_per_minute=100000).fetch(HASH_A)
+    LabelOracle(server.url, requests_per_minute=100000).fetch(HASH_A)
     assert server.seen[0][1]["X-APIKEY"] == "env-key"
 
 
@@ -206,10 +199,12 @@ def test_live_transport_error_and_bad_json(server):
         sock.bind(("127.0.0.1", 0))
         closed = f"http://127.0.0.1:{sock.getsockname()[1]}"
     with pytest.raises(OracleError, match=f"^request failed for {HASH_A}: "):
-        LabelOracle(base_url=closed, api_key="k").fetch(HASH_A)
-    server.script(reply(200, b"<html>"))
-    with pytest.raises(OracleError, match=f"^non-JSON response for {HASH_A}: "):
-        live_oracle(server).fetch(HASH_A)
+        LabelOracle(closed, api_key="k").fetch(HASH_A)
+    server.script(reply(200, b"<html>"), reply(200, b"[" * 100_000))
+    oracle = live_oracle(server)
+    for _ in range(2):
+        with pytest.raises(OracleError, match=f"^non-JSON response for {HASH_A}: "):
+            oracle.fetch(HASH_A)
 
 
 def test_live_stalled_server_times_out(server, monkeypatch):
@@ -232,13 +227,14 @@ def test_live_redirect_refused_and_key_kept(new_server):
 def test_missing_api_key_rejected(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     with pytest.raises(OracleError, match=API_KEY_ENV):
-        LabelOracle(base_url="https://oracle.test")
+        LabelOracle("https://oracle.test")
 
 
 def test_non_http_base_url_rejected():
+    # Only http(s) selects the live service, so urllib never sees the others.
     for url in ("file:///etc", "ftp://oracle.test", "oracle.test"):
-        with pytest.raises(OracleError, match="http:// or https://"):
-            LabelOracle(base_url=url, api_key="k")
+        with pytest.raises(OracleError, match=f"^fixture directory not found: {url}$"):
+            LabelOracle(url, api_key="k")
 
 
 # --- Rate limiting ----------------------------------------------------------
@@ -282,7 +278,7 @@ def test_bad_rate_rejected():
     # both would turn rate limiting off.
     for rate in (0, -1.0, math.nan, math.inf):
         with pytest.raises(OracleError, match="requests_per_minute"):
-            LabelOracle(base_url="https://x", api_key="k", requests_per_minute=rate)
+            LabelOracle("https://x", api_key="k", requests_per_minute=rate)
 
 
 # --- relabel ----------------------------------------------------------------
@@ -294,8 +290,40 @@ def test_relabel_overwrites_labels(fixture_dir):
         features=np.ones((2, 4)),
         labels=np.array([0, 1]),
     )
-    oracle = LabelOracle(fixture_dir=fixture_dir)
+    oracle = LabelOracle(fixture_dir)
     out = relabel(ds, oracle)
     assert out.labels.tolist() == [1, 0]
     assert out.ids == ds.ids
     assert np.array_equal(out.features, ds.features)
+
+
+class CountingOracle:
+    def __init__(self, reports):
+        self.reports = reports
+        self.fetched = []
+
+    def fetch(self, file_hash):
+        self.fetched.append(file_hash)
+        engines = self.reports[file_hash]
+        if engines is None:
+            raise OracleError(f"no recorded report for {file_hash}")
+        return ScanVerdicts(file_hash=file_hash, engines=engines)
+
+
+def test_relabel_fetches_each_distinct_id_once():
+    # An APK listed twice has one SHA-256 id; at --rpm 4 each repeat
+    # would cost a rate-limited request.
+    ids = (HASH_A, HASH_B, HASH_A, HASH_A, HASH_B)
+    ds = Dataset(ids=ids, features=np.ones((5, 4)), labels=np.zeros(5))
+    oracle = CountingOracle({HASH_A: {"AV": True}, HASH_B: {"AV": False}})
+    assert relabel(ds, oracle).labels.tolist() == [1, 0, 1, 1, 0]
+    assert oracle.fetched == [HASH_A, HASH_B]
+
+    # The first failing id in row order still raises first.
+    hash_c, hash_d = "c" * 64, "d" * 64
+    ids = (HASH_A, hash_c, HASH_A, hash_d)
+    ds = Dataset(ids=ids, features=np.ones((4, 4)), labels=np.zeros(4))
+    oracle = CountingOracle({HASH_A: {"AV": True}, hash_c: None, hash_d: None})
+    with pytest.raises(OracleError, match=f"for {hash_c}$"):
+        relabel(ds, oracle)
+    assert oracle.fetched == [HASH_A, hash_c]
