@@ -53,8 +53,8 @@ def _check_k(k: int, n: int) -> None:
 
 def _row_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The terms of ``_sq_dists`` that depend on X alone: its squared
-    row norms as a column, and 2X."""
-    return np.sum(X * X, axis=1)[:, None], 2.0 * X
+    row norms as a column, and X."""
+    return np.sum(X * X, axis=1)[:, None], X
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray, row_terms=None) -> np.ndarray:
@@ -62,10 +62,17 @@ def _sq_dists(X: np.ndarray, centroids: np.ndarray, row_terms=None) -> np.ndarra
 
     ``row_terms`` may carry ``_row_terms(X)``, so that callers measuring
     one X against many centroid sets compute it once; the arithmetic is
-    the same either way.
+    the same either way.  The cross term is X·Cᵀ doubled in place, the
+    same bits as (2X)·Cᵀ: scaling by 2 is exact.  C that shares X's
+    memory is copied first, since numpy sends X @ X.T to a symmetric
+    product with other rounding.
     """
-    sq_norms, twice = _row_terms(X) if row_terms is None else row_terms
-    d2 = sq_norms - twice @ centroids.T + np.sum(centroids * centroids, axis=1)[None, :]
+    sq_norms, X = _row_terms(X) if row_terms is None else row_terms
+    if np.may_share_memory(X, centroids):
+        centroids = centroids.copy()
+    cross = X @ centroids.T
+    cross *= 2.0
+    d2 = sq_norms - cross + np.sum(centroids * centroids, axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
@@ -188,7 +195,7 @@ def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, np.ndarray]:
     are those of the returned centroids.  Nearest-centroid ties go to
     the lowest centroid index.  Each step checks that SSE did not
     increase; a violation is a bug, not a data condition, and raises.
-    X's row norms and 2X are computed once per call and shared by every
+    X's row norms are computed once per call and shared by every
     distance pass.
     """
     X = _as_matrix(X)

@@ -1,4 +1,4 @@
-"""Feature datasets: assembly, CSV persistence, labeling.
+"""Feature datasets: assembly and CSV persistence.
 
 A Dataset ties together row ids, an n by d feature matrix, and binary
 labels (0 benign, 1 malware).  The on-disk CSV format is fixed at 256
@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .errors import DatasetError, NoVerdictsError
+from .errors import DatasetError
 
 N_OPCODE_FEATURES = 256
 CSV_HEADER = ["id", "label"] + [f"op_{i:02x}" for i in range(N_OPCODE_FEATURES)]
@@ -91,7 +89,9 @@ def write_dataset(ds: Dataset, path) -> None:
     """Write `id,label,op_00,...,op_ff` CSV (258 columns).
 
     Integer-valued features are printed as integers; fractional values
-    use repr, which round-trips float64 exactly.
+    use repr, which round-trips float64 exactly.  A row of whole
+    numbers, as every ``extract`` row is, goes to the writer as int64
+    values, with no Python float per cell.
     """
     if ds.n and ds.dim != N_OPCODE_FEATURES:
         raise DatasetError(
@@ -106,29 +106,88 @@ def write_dataset(ds: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for i in range(ds.n):
-            row = [ds.ids[i], str(int(ds.labels[i]))]
-            row.extend(_format_cell(v) for v in ds.features[i])
-            writer.writerow(row)
+        for row_id, label, row in zip(ds.ids, ds.labels.tolist(), ds.features):
+            counts = row.astype(np.int64)
+            cells = counts.tolist() if (counts == row).all() else map(_format_cell, row)
+            writer.writerow([row_id, label, *cells])
 
 
-def _csv_rows(path, fh):
-    """The CSV records of ``fh``; a non-UTF-8 byte or a csv error (such
-    as a cell above the field size limit) raises DatasetError naming ``path``."""
+_HEADER_LINE = ",".join(CSV_HEADER)
+# No plain record holds one of these.  A quote or a line end inside a
+# record is csv syntax, NUL is a csv error on Python 3.10, and numpy
+# strips \x1c-\x1f as whitespace where float() refuses them.
+_NOT_PLAIN = ('"', "\r", "\n", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain(path):
+    """(ids, labels, features, line numbers) of a plain feature CSV in
+    one vectorised parse, or None.
+
+    A plain file is UTF-8, its first line is the header, its lines all
+    end in ``\\n`` or all in ``\\r\\n``, and every other line is a
+    record of 258 fields that holds no character of ``_NOT_PLAIN`` and
+    is no longer than csv's field size limit.  csv.reader splits such a
+    line at its commas, so an id is the line up to its first comma, and
+    one ``np.loadtxt`` call parses labels and features to the values
+    float() gives.  A cell loadtxt refuses, or a label outside {0, 1},
+    also returns None, and the record loop names the fault.
+    """
+    ids = []
+    limit = csv.field_size_limit()
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            header = fh.readline()
+            end = header[len(_HEADER_LINE):]
+            if not header.startswith(_HEADER_LINE) or end not in ("\n", "\r\n"):
+                return None
+            for line in fh:
+                record = line[: -len(end)] if line.endswith(end) else line
+                if (
+                    record.count(",") != len(CSV_HEADER) - 1
+                    or len(record) > limit
+                    or any(c in record for c in _NOT_PLAIN)
+                ):
+                    return None
+                ids.append(record[: record.index(",")])
+            if not ids:
+                return None
+            fh.seek(0)
+            table = np.loadtxt(
+                fh, delimiter=",", usecols=range(1, len(CSV_HEADER)), comments=None,
+                skiprows=1, ndmin=2,
+            )
+        except ValueError:  # UnicodeDecodeError too
+            return None
+    labels = table[:, 0]
+    if len(table) != len(ids) or not ((labels == 0) | (labels == 1)).all():
+        return None
+    return ids, labels.astype(np.int64), table[:, 1:], range(2, len(ids) + 2)
+
+
+def _csv_records(path, fh):
+    """(line, fields) of each CSV record of ``fh``, line being the file
+    line the record starts on; a non-UTF-8 byte or a csv error (such as
+    a cell above the field size limit) raises DatasetError naming
+    ``path``."""
     reader = csv.reader(fh)
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def read_dataset(path) -> Dataset:
+def _read_records(path):
+    """(ids, labels, features, line numbers) of any feature CSV, one
+    csv.reader record at a time; the first bad record raises."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(path, fh)
+        records = _csv_records(path, fh)
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a CSV header") from None
         if header != CSV_HEADER:
@@ -136,7 +195,8 @@ def read_dataset(path) -> Dataset:
         ids: list[str] = []
         labels: list[int] = []
         rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
+        lines: list[int] = []
+        for line_no, row in records:
             if len(row) != len(CSV_HEADER):
                 raise DatasetError(
                     f"{path}: line {line_no}: {len(row)} fields, expected {len(CSV_HEADER)}"
@@ -151,11 +211,23 @@ def read_dataset(path) -> Dataset:
             ids.append(row[0])
             labels.append(int(label))
             rows.append(values)
+            lines.append(line_no)
     features = (
         np.array(rows, dtype=np.float64)
         if rows
         else np.empty((0, N_OPCODE_FEATURES), dtype=np.float64)
     )
+    return ids, np.array(labels, dtype=np.int64), features, lines
+
+
+def read_dataset(path) -> Dataset:
+    """The Dataset of a feature CSV.
+
+    A plain file (see ``_read_plain``) is parsed in one vectorised
+    pass; any other file is read by the record loop, whose errors name
+    the file line a bad record starts on.
+    """
+    ids, labels, features, lines = _read_plain(path) or _read_records(path)
     # Opcode counts are finite, never negative and at most _MAX_CELL, and
     # write_dataset refuses other values.  The first bad cell in file
     # order is named.
@@ -169,35 +241,5 @@ def read_dataset(path) -> Dataset:
             what = f"negative feature value {value:g}"
         else:
             what = f"feature value {value:g} above 2**53"
-        raise DatasetError(f"{path}: line {row + 2}: {what}")
-    return Dataset(ids=tuple(ids), features=features, labels=np.array(labels, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class ScanVerdicts:
-    """Per-engine detection verdicts for one file hash."""
-
-    file_hash: str
-    engines: Mapping[str, bool]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "engines", MappingProxyType({str(k): bool(v) for k, v in self.engines.items()})
-        )
-
-    @property
-    def detections(self) -> int:
-        return sum(self.engines.values())
-
-
-def check_threshold(threshold: int) -> None:
-    if threshold < 1:
-        raise DatasetError(f"threshold must be positive, got {threshold}")
-
-
-def consensus_label(v: ScanVerdicts, threshold: int = 1) -> int:
-    """1 (malware) iff at least ``threshold`` engines flagged the file."""
-    check_threshold(threshold)
-    if not v.engines:
-        raise NoVerdictsError(f"no engine verdicts for {v.file_hash}; label unknown")
-    return 1 if v.detections >= threshold else 0
+        raise DatasetError(f"{path}: line {lines[row]}: {what}")
+    return Dataset(ids=tuple(ids), features=features, labels=labels)

@@ -1,4 +1,5 @@
-"""Scan-report oracle client with an offline fixture mode.
+"""Scan-report oracle client with an offline fixture mode, and the
+consensus rule that turns a report's verdicts into a label.
 
 Live mode speaks a REST shape compatible with common scan-report APIs:
 GET <source>/report/<sha256> returning
@@ -15,16 +16,49 @@ import math
 import os
 import re
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, ScanVerdicts, check_threshold, consensus_label
-from .errors import OracleError
+from .dataset import Dataset
+from .errors import DatasetError, NoVerdictsError, OracleError
 
 API_KEY_ENV = "DROIDLENS_ORACLE_KEY"
 _TIMEOUT_S = 30
 _HASH_RE = re.compile(r"^[0-9a-fA-F]{8,128}$")
+
+
+@dataclass(frozen=True)
+class ScanVerdicts:
+    """Per-engine detection verdicts for one file hash."""
+
+    file_hash: str
+    engines: Mapping[str, bool]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "engines", MappingProxyType({str(k): bool(v) for k, v in self.engines.items()})
+        )
+
+    @property
+    def detections(self) -> int:
+        return sum(self.engines.values())
+
+
+def check_threshold(threshold: int) -> None:
+    if threshold < 1:
+        raise DatasetError(f"threshold must be positive, got {threshold}")
+
+
+def consensus_label(v: ScanVerdicts, threshold: int = 1) -> int:
+    """1 (malware) iff at least ``threshold`` engines flagged the file."""
+    check_threshold(threshold)
+    if not v.engines:
+        raise NoVerdictsError(f"no engine verdicts for {v.file_hash}; label unknown")
+    return 1 if v.detections >= threshold else 0
 
 
 class LabelOracle:
@@ -32,9 +66,9 @@ class LabelOracle:
 
     A ``source`` beginning ``http://`` or ``https://`` is the base URL
     of a live report service; anything else is a fixture directory,
-    which must exist.  The clock and sleep functions are injectable so
-    rate limiting is testable without real delays.  Not thread-safe;
-    one client per worker.
+    which must exist; an empty source is refused.  The clock and sleep
+    functions are injectable so rate limiting is testable without real
+    delays.  Not thread-safe; one client per worker.
     """
 
     def __init__(
@@ -51,6 +85,8 @@ class LabelOracle:
                 f"requests_per_minute must be finite and positive, got {requests_per_minute}"
             )
         self._base_url = self._fixture_dir = None
+        if not source:  # Path("") would be the working directory
+            raise OracleError("oracle source is empty: give a fixture directory or an http(s) URL")
         if source.startswith(("http://", "https://")):
             self._base_url = source.rstrip("/")
         elif Path(source).is_dir():

@@ -164,6 +164,20 @@ def test_label_missing_fixture_dir_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_label_empty_oracle_exits_1(tmp_path, capsys, monkeypatch):
+    # As `--oracle "$UNSET"` passes it: not the working directory.
+    features = tmp_path / "features.csv"
+    write_dataset(make_ds(np.ones((1, 256)), [0], ids=("ab" * 32,)), features)
+    (tmp_path / f"{'ab' * 32}.json").write_text('{"engines": {"AV": {"detected": true}}}')
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "labeled.csv"
+    assert main(["label", str(features), "--oracle", "", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "droidlens: error: oracle source is empty: give a fixture directory or an http(s) URL\n"
+    )
+    assert not out.exists()
+
+
 def _label_with_bad_cell(tmp_path, capsys, monkeypatch, cell) -> str:
     """Run ``label`` on a feature CSV whose line 3 holds ``cell``; check
     that it exits 1 before any oracle request, and return its stderr."""

@@ -1,18 +1,17 @@
 """Dataset type, CSV round trip, consensus labeling, blob synthesis."""
 
+import csv
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from droidlens.dataset import (
-    CSV_HEADER,
-    Dataset,
-    ScanVerdicts,
-    consensus_label,
-    read_dataset,
-    write_dataset,
-)
+from droidlens import dataset
+from droidlens.dataset import CSV_HEADER, Dataset, _format_cell, read_dataset, write_dataset
 from droidlens.errors import DatasetError, NoVerdictsError
+from droidlens.oracle import ScanVerdicts, consensus_label
 
 from evalfactory import BlobSpec, datasets_equal, synth_blobs
 
@@ -199,6 +198,170 @@ def test_negative_features_not_writable(tmp_path):
     ds = make_ds(features, [0])
     with pytest.raises(DatasetError, match="negative"):
         write_dataset(ds, tmp_path / "w.csv")
+
+
+@pytest.mark.parametrize(
+    "column, cell, fault",
+    [
+        (5, "abc", "could not convert string to float: 'abc'"),
+        (1, "2", "label 2 outside {0, 1}"),
+        (9, "nan", "non-finite feature value nan"),
+        (257, None, "257 fields, expected 258"),  # the cell is dropped
+    ],
+)
+def test_errors_name_file_lines(tmp_path, column, cell, fault):
+    # The first record's quoted id holds a newline, so the record spans
+    # lines 2 and 3 and the bad record starts on line 4.
+    bad = ["h2", "1"] + ["0"] * 256
+    if cell is None:
+        del bad[column]
+    else:
+        bad[column] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        ",".join(CSV_HEADER) + "\n" + '"two\nlines",0,' + ",".join(["1"] * 256) + "\n"
+        + ",".join(bad) + "\n"
+    )
+    with pytest.raises(DatasetError) as info:
+        read_dataset(path)
+    assert str(info.value) == f"{path}: line 4: {fault}"
+
+
+def _outcome(path):
+    """What read_dataset makes of ``path``: its error text, or the
+    dataset's ids and the bytes of its labels and features."""
+    try:
+        ds = read_dataset(path)
+    except DatasetError as exc:
+        return str(exc)
+    return ds.ids, ds.features.shape, ds.labels.tobytes(), ds.features.tobytes()
+
+
+# Cells float() and numpy's parser might read differently, csv syntax,
+# and characters either one might strip as whitespace.
+_ODD_CELLS = [
+    "1e200", "nan", "-nan", "-0", "+0", "1_0", "", " ", " 1", "1 ", "1 2", ".5", "5.",
+    "1e-400", "1e400", "-inf", "Infinity", "0x10", "1d3", "١", "\xa01", "1　",
+    "1\x1c", "\x1f1", "\x0b2", "2\x0c", "\t3", '"1"', '"1', '"a\nb"', "1\r2", "1\n2",
+    "\x00", "1\x00", "﻿1", "1,2", "9007199254740993", "-1",
+]
+_cells = st.one_of(
+    st.sampled_from(_ODD_CELLS),
+    st.integers(-(2**60), 2**60).map(str),
+    st.floats().map(repr),
+    st.floats(0, 2**54).map(str),
+    st.text(alphabet='0123456789.eE+-_ naifINF\t\x0b\x1c\xa0١",\r\n\x00', max_size=6),
+)
+
+
+_FAULTS = [
+    "no records", "odd id", "odd label", "short record", "long record", "bare CR",
+    "mixed line ends", "no last line end", "blank last line", "BOM", "not UTF-8",
+]
+
+
+_ids = st.one_of(
+    st.sampled_from(['"quoted"', 'a"b', '"a,b"', '"a\nb"', "", " x ", "é", "a\x1cb", "a\x00"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _feature_csvs(draw):
+    """A feature CSV's bytes: seeded count records with a few cells
+    drawn to be awkward, and at most one fault of the file's shape."""
+    fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
+    n = 0 if fault == "no records" else draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [
+        [f"row{i}", str(rng.integers(0, 2))] + [str(v) for v in rng.integers(0, 5000, 256)]
+        for i in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(2, 257))] = draw(_cells)
+    row = rows[draw(st.integers(0, n - 1))] if n else []
+    if fault == "odd id":
+        row[0] = draw(_ids)
+    elif fault == "odd label":
+        row[1] = draw(_cells)
+    elif fault == "short record":
+        row.pop()
+    elif fault == "long record":
+        row.append("0")
+    end = "\r" if fault == "bare CR" else draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [end] * (n + 1)
+    if fault == "mixed line ends":
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in ends]
+    elif fault in ("no last line end", "blank last line"):
+        ends[-1] = "" if fault == "no last line end" else end * 2
+    lines = [",".join(CSV_HEADER)] + [",".join(row) for row in rows]
+    text = ("\ufeff" if fault == "BOM" else "") + "".join(a + b for a, b in zip(lines, ends))
+    tail = draw(st.sampled_from([b"\xff", b"1\xc3"])) if fault == "not UTF-8" else b""
+    return text.encode("utf-8") + tail
+
+
+@given(content=_feature_csvs())
+@settings(max_examples=300, deadline=None)
+def test_plain_parse_matches_record_loop(content, tmp_path_factory):
+    path = tmp_path_factory.mktemp("plain") / "features.csv"
+    path.write_bytes(content)
+    event("plain parse" if dataset._read_plain(path) is not None else "record loop")
+    fast = _outcome(path)
+    with mock.patch.object(dataset, "_read_plain", lambda path: None):
+        assert _outcome(path) == fast
+
+
+def test_cell_above_csv_field_limit_names_line(tmp_path):
+    path = tmp_path / "long.csv"
+    row = ["h" * (csv.field_size_limit() + 1), "0"] + ["1"] * 256
+    path.write_text(",".join(CSV_HEADER) + "\n" + ",".join(row) + "\n")
+    with pytest.raises(DatasetError, match=r": line 2: field larger than field limit"):
+        read_dataset(path)
+
+
+def _write_cells_one_by_one(ds, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for i in range(ds.n):
+            row = [ds.ids[i], str(int(ds.labels[i]))]
+            row.extend(_format_cell(v) for v in ds.features[i])
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+def test_writer_bytes_match_cell_by_cell_format(tmp_path, fraction):
+    rng = np.random.default_rng(7)
+    ds = _random_wire_dataset(rng, 30)
+    features = np.floor(ds.features)
+    features[0, :3] = [0.0, 2.0**53, 2.0**53 - 1]
+    mask = rng.random(size=features.shape) < fraction
+    features[mask] += rng.random(size=int(mask.sum()))
+    ids = ("a\nb", "éè", "", *ds.ids[3:])
+    ds = Dataset(ids=ids, features=features, labels=ds.labels)
+    write_dataset(ds, tmp_path / "new.csv")
+    _write_cells_one_by_one(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_read_memory_stays_below_2_5_bytes_per_matrix_byte(tmp_path):
+    # One numpy parse into an n×257 table, then the Dataset's own copy;
+    # no Python float per cell.  Poisson counts as the benchmark's
+    # mixture draws them.
+    n = 2_000
+    rng = np.random.default_rng(5)
+    rates = rng.gamma(1.0, 50.0, size=(4, 256))
+    counts = rng.poisson(rates[np.arange(n) % 4]).astype(float)
+    path = tmp_path / "counts.csv"
+    write_dataset(make_ds(counts, rng.integers(0, 2, size=n)), path)
+    assert dataset._read_plain(path) is not None  # what write_dataset writes is plain
+    tracemalloc.start()
+    try:
+        ds = read_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * ds.features.nbytes
 
 
 # --- Consensus labeling ---------------------------------------------------

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from droidlens import oracle as oracle_module
-from droidlens.dataset import Dataset, ScanVerdicts
+from droidlens.dataset import Dataset
 from droidlens.errors import OracleError
-from droidlens.oracle import API_KEY_ENV, LabelOracle, relabel
+from droidlens.oracle import API_KEY_ENV, LabelOracle, ScanVerdicts, relabel
 
 HASH_A = "a" * 64
 HASH_B = "b" * 64
@@ -81,6 +81,15 @@ def test_hash_validation_blocks_path_tricks(fixture_dir):
 def test_missing_fixture_dir():
     with pytest.raises(OracleError, match="not found"):
         LabelOracle("/no/such/dir")
+
+
+def test_empty_source_rejected(tmp_path, monkeypatch):
+    # Path("") is the working directory; an unset variable must not
+    # turn whatever lies there into recorded reports.
+    monkeypatch.chdir(tmp_path)
+    write_fixture(tmp_path, HASH_A, {"AVOne": True})
+    with pytest.raises(OracleError, match="^oracle source is empty"):
+        LabelOracle("")
 
 
 # --- Live mode (loopback HTTP) ----------------------------------------------
