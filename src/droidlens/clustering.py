@@ -51,23 +51,24 @@ def _check_k(k: int, n: int) -> None:
         raise ClusterError(f"k must satisfy 1 <= k <= n, got k={k} with n={n}")
 
 
-def _row_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of ``_sq_dists`` that depend on X alone: its squared
-    row norms as a column, and X."""
-    return np.sum(X * X, axis=1)[:, None], X
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """X's squared row norms as a column, the term of ``_sq_dists``
+    that depends on X alone."""
+    return np.sum(X * X, axis=1)[:, None]
 
 
-def _sq_dists(X: np.ndarray, centroids: np.ndarray, row_terms=None) -> np.ndarray:
+def _sq_dists(X: np.ndarray, centroids: np.ndarray, sq_norms=None) -> np.ndarray:
     """n×k squared Euclidean distances, clipped at 0 against roundoff.
 
-    ``row_terms`` may carry ``_row_terms(X)``, so that callers measuring
+    ``sq_norms`` may carry ``_row_norms(X)``, so that callers measuring
     one X against many centroid sets compute it once; the arithmetic is
     the same either way.  The cross term is X·Cᵀ doubled in place, the
     same bits as (2X)·Cᵀ: scaling by 2 is exact.  C that shares X's
     memory is copied first, since numpy sends X @ X.T to a symmetric
     product with other rounding.
     """
-    sq_norms, X = _row_terms(X) if row_terms is None else row_terms
+    if sq_norms is None:
+        sq_norms = _row_norms(X)
     if np.may_share_memory(X, centroids):
         centroids = centroids.copy()
     cross = X @ centroids.T
@@ -133,7 +134,8 @@ class KMeansModel:
     iterations: int
 
     def __post_init__(self) -> None:
-        centroids = np.asarray(self.centroids, dtype=np.float64).copy()
+        # Adopted, not copied: the array handed in becomes read-only.
+        centroids = np.asarray(self.centroids, dtype=np.float64)
         centroids.setflags(write=False)
         object.__setattr__(self, "centroids", centroids)
         if self.sse < 0:
@@ -148,9 +150,9 @@ class GmmModel:
     log_likelihood: float
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=np.float64).copy()
-        means = np.asarray(self.means, dtype=np.float64).copy()
-        variances = np.asarray(self.variances, dtype=np.float64).copy()
+        weights = np.asarray(self.weights, dtype=np.float64)
+        means = np.asarray(self.means, dtype=np.float64)
+        variances = np.asarray(self.variances, dtype=np.float64)
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ClusterError(f"component weights sum to {weights.sum()!r}, not 1")
         if (variances <= 0).any():
@@ -166,11 +168,11 @@ class GmmModel:
 
 
 def _kmeanspp_init(
-    X: np.ndarray, k: int, rng: np.random.Generator, row_terms
+    X: np.ndarray, k: int, rng: np.random.Generator, sq_norms: np.ndarray
 ) -> np.ndarray:
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(X, X[chosen], row_terms)[:, 0]
+    d2 = _sq_dists(X, X[chosen], sq_norms)[:, 0]
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
@@ -178,8 +180,8 @@ def _kmeanspp_init(
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dists(X, X[[idx]], row_terms)[:, 0])
-    return X[chosen].copy()
+        d2 = np.minimum(d2, _sq_dists(X, X[[idx]], sq_norms)[:, 0])
+    return X[chosen]
 
 
 _KMEANS_MAX_ITER = 300
@@ -202,11 +204,11 @@ def kmeans(X, k: int, seed: int) -> tuple[KMeansModel, np.ndarray]:
     n = X.shape[0]
     _check_k(k, n)
     rng = derive_rng(seed, "kmeans++")
-    row_terms = _row_terms(X)
-    centroids = _kmeanspp_init(X, k, rng, row_terms)
+    sq_norms = _row_norms(X)
+    centroids = _kmeanspp_init(X, k, rng, sq_norms)
 
     def assign(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        d2 = _sq_dists(X, c, row_terms)
+        d2 = _sq_dists(X, c, sq_norms)
         labels = np.argmin(d2, axis=1)
         dmin = d2[np.arange(n), labels]
         return labels, dmin, float(dmin.sum())

@@ -31,6 +31,10 @@ class Dataset:
     counts; oversampling keeps them non-negative but fractional.  The
     matrix itself accepts any finite reals so derived fixtures (for
     example standardized or signed toy problems) can reuse the type.
+
+    A Dataset adopts the arrays it is handed instead of copying them:
+    float64 features or int64 labels passed in become read-only, and a
+    writable view of them kept elsewhere can still change them.
     """
 
     ids: tuple[str, ...]
@@ -54,8 +58,6 @@ class Dataset:
         bad = set(np.unique(labels)) - {0, 1}
         if bad:
             raise DatasetError(f"labels outside {{0, 1}}: {sorted(bad)}")
-        features = features.copy()
-        labels = labels.copy()
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "ids", ids)
@@ -130,7 +132,8 @@ def _read_plain(path):
     line at its commas, so an id is the line up to its first comma, and
     one ``np.loadtxt`` call parses labels and features to the values
     float() gives.  A cell loadtxt refuses, or a label outside {0, 1},
-    also returns None, and the record loop names the fault.
+    also returns None, and the record loop names the fault.  The
+    features are a strided view of loadtxt's n×257 table, not a copy.
     """
     ids = []
     limit = csv.field_size_limit()

@@ -111,35 +111,7 @@ _FORMAT_RANGES = (
 
 
 @dataclass(frozen=True)
-class DexHeader:
-    checksum: int
-    signature: bytes
-    file_size: int
-    header_size: int
-    endian_tag: int
-    link_size: int
-    link_off: int
-    map_off: int
-    string_ids_size: int
-    string_ids_off: int
-    type_ids_size: int
-    type_ids_off: int
-    proto_ids_size: int
-    proto_ids_off: int
-    field_ids_size: int
-    field_ids_off: int
-    method_ids_size: int
-    method_ids_off: int
-    class_defs_size: int
-    class_defs_off: int
-    data_size: int
-    data_off: int
-
-
-@dataclass(frozen=True)
 class DexFile:
-    version: int
-    header: DexHeader
     # class_data_off of each class_def, in table order.  It is read from
     # ``data``, so comparisons leave it out.
     class_data_offs: np.ndarray = field(repr=False, compare=False)
@@ -171,7 +143,7 @@ class OpcodeHistogram:
         return OpcodeHistogram(counts=merged, total=self.total + other.total)
 
 
-def _check_magic(data: bytes) -> int:
+def _check_magic(data: bytes) -> None:
     if data[:4] != _MAGIC_PREFIX or len(data) < 8 or data[7] != 0:
         raise DexParseError("bad magic: not a DEX file")
     try:
@@ -180,16 +152,18 @@ def _check_magic(data: bytes) -> int:
         raise DexParseError("bad magic: unreadable version digits") from None
     if version not in _SUPPORTED_VERSIONS:
         raise DexParseError(f"bad magic: unsupported DEX version {version:03d}")
-    return version
 
 
-def _check_section(name: str, off: int, count: int, item_size: int, limit: int) -> None:
-    if count == 0:
-        return
-    if off < HEADER_SIZE or off + count * item_size > limit:
-        raise DexParseError(
-            f"{name} section (offset {off:#x}, {count} items) is out of bounds"
-        )
+# The id tables the header locates, with their item sizes in bytes, in
+# header order after the link section.
+_SECTIONS = (
+    ("string_ids", 4),
+    ("type_ids", 4),
+    ("proto_ids", 12),
+    ("field_ids", 8),
+    ("method_ids", 8),
+    ("class_defs", 32),
+)
 
 
 def parse_dex(data: bytes) -> DexFile:
@@ -199,43 +173,45 @@ def parse_dex(data: bytes) -> DexFile:
     needs lies inside the buffer.  The adler32 checksum is not checked:
     real-world samples often carry stale checksums, and they parse.
     """
-    version = _check_magic(data)
+    _check_magic(data)
     if len(data) < HEADER_SIZE:
         raise DexParseError(
             f"truncated header: {len(data)} bytes, need {HEADER_SIZE:#x}"
         )
-    fields = struct.unpack_from("<I20s20I", data, 8)
-    header = DexHeader(*fields)
+    # After the checksum and the signature come 20 uint32 fields:
+    # file_size, header_size, endian_tag, the link section's size and
+    # offset, map_off, a (size, offset) pair per _SECTIONS entry, then
+    # data_size and data_off.
+    file_size, header_size, endian_tag, _, _, map_off, *tables, data_size, data_off = (
+        struct.unpack_from("<20I", data, 32)
+    )
 
-    if header.header_size != HEADER_SIZE:
-        raise DexParseError(f"header_size {header.header_size:#x}, expected 0x70")
-    if header.endian_tag != ENDIAN_TAG:
-        raise DexParseError(f"endian_tag {header.endian_tag:#x} not supported")
-    if header.file_size < HEADER_SIZE:
-        raise DexParseError(f"file_size {header.file_size} smaller than the header")
-    if header.file_size > len(data):
+    if header_size != HEADER_SIZE:
+        raise DexParseError(f"header_size {header_size:#x}, expected 0x70")
+    if endian_tag != ENDIAN_TAG:
+        raise DexParseError(f"endian_tag {endian_tag:#x} not supported")
+    if file_size < HEADER_SIZE:
+        raise DexParseError(f"file_size {file_size} smaller than the header")
+    if file_size > len(data):
         raise DexParseError(
-            f"truncated file: header declares {header.file_size} bytes, "
+            f"truncated file: header declares {file_size} bytes, "
             f"buffer holds {len(data)}"
         )
-    limit = header.file_size
-    _check_section("string_ids", header.string_ids_off, header.string_ids_size, 4, limit)
-    _check_section("type_ids", header.type_ids_off, header.type_ids_size, 4, limit)
-    _check_section("proto_ids", header.proto_ids_off, header.proto_ids_size, 12, limit)
-    _check_section("field_ids", header.field_ids_off, header.field_ids_size, 8, limit)
-    _check_section("method_ids", header.method_ids_off, header.method_ids_size, 8, limit)
-    _check_section("class_defs", header.class_defs_off, header.class_defs_size, 32, limit)
-    if header.data_size and header.data_off + header.data_size > limit:
+    for (name, item_size), count, off in zip(_SECTIONS, tables[0::2], tables[1::2]):
+        if count and (off < HEADER_SIZE or off + count * item_size > file_size):
+            raise DexParseError(
+                f"{name} section (offset {off:#x}, {count} items) is out of bounds"
+            )
+    if data_size and data_off + data_size > file_size:
         raise DexParseError("data section is out of bounds")
-    if header.map_off and header.map_off >= limit:
+    if map_off and map_off >= file_size:
         raise DexParseError("map_off is out of bounds")
 
     # class_data_off is the seventh of a class_def's eight uint32 fields.
     # An empty table's offset is left unchecked, so it is not read.
-    n = header.class_defs_size
-    table = np.frombuffer(data, "<u4", count=8 * n, offset=header.class_defs_off if n else 0)
-    class_data_offs = table.reshape(n, 8)[:, 6].astype(np.int64)
-    return DexFile(version=version, header=header, class_data_offs=class_data_offs, data=data)
+    n, class_defs_off = tables[-2:]
+    table = np.frombuffer(data, "<u4", count=8 * n, offset=class_defs_off if n else 0)
+    return DexFile(class_data_offs=table.reshape(n, 8)[:, 6].astype(np.int64), data=data)
 
 
 # --- Whole-file vectorised walk -------------------------------------------------

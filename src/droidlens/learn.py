@@ -645,7 +645,7 @@ def _fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dic
     rng = derive_rng(seed, "forest")
     samples = rng.integers(0, n, size=(int(hp["n_trees"]), n))
     trees = _grow_trees(X, y, samples, hp["max_depth"], hp["min_samples_split"], mtry, rng)
-    return {"trees": trees, "mtry": mtry}
+    return {"trees": trees}
 
 
 def _predict_random_forest(params: dict, X: np.ndarray) -> np.ndarray:

@@ -561,6 +561,40 @@ def test_smote_skipped_for_tiny_minority(caplog):
     assert "too small to oversample" in caplog.text
 
 
+# --- memory layout -------------------------------------------------------------
+
+
+def test_outputs_do_not_depend_on_matrix_layout():
+    # read_dataset's plain parse hands over a strided view of its n×257
+    # table, label column first; the same values in a contiguous array
+    # must give the same bits.
+    rng = np.random.default_rng(4)
+    rates = rng.gamma(1.0, 50.0, size=(3, 256))
+    n = 60
+    table = np.empty((n, 257))
+    table[:, 0] = np.arange(n) % 2
+    table[:, 1:] = rng.poisson(rates[np.arange(n) % 3])
+    view = table[:, 1:]
+    dense = np.ascontiguousarray(view)
+    assert not view.flags.c_contiguous and dense.flags.c_contiguous
+
+    assert compare_clusterings(view, seed=3) == compare_clusterings(dense, seed=3)
+    assert clustering.sse_curve(view, range(1, 5), seed=3) == clustering.sse_curve(
+        dense, range(1, 5), seed=3
+    )
+    specs = [ClassifierSpec(kind=kind) for kind in KINDS]
+    ids = tuple(f"r{i}" for i in range(n))
+    labels = table[:, 0].astype(np.int64)
+    for paper in (False, True):
+        reports = [
+            run_clustered_pipeline(
+                make_ds(X, labels, ids), specs, cluster_k=2, k=3, seed=5, paper_protocol=paper
+            )
+            for X in (view, dense)
+        ]
+        assert reports[0] == reports[1]
+
+
 # --- clustering comparison -----------------------------------------------------
 
 

@@ -1053,9 +1053,9 @@ def test_dt_pure_leaf_recalls_training_point():
 
 def test_rf_vote_identity_with_identical_trees():
     tree = {"feature": 0, "threshold": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}}
-    one = ClassifierModel(kind="random_forest", params={"trees": [tree], "mtry": 1, "dim": 1})
+    one = ClassifierModel(kind="random_forest", params={"trees": [tree], "dim": 1})
     five = ClassifierModel(
-        kind="random_forest", params={"trees": [tree] * 5, "mtry": 1, "dim": 1}
+        kind="random_forest", params={"trees": [tree] * 5, "dim": 1}
     )
     X = np.array([[0.0], [0.5], [0.7], [2.0]])
     assert np.array_equal(predict_batch(one, X), predict_batch(five, X))
@@ -1065,7 +1065,7 @@ def test_vote_tie_breaks_to_benign():
     t0 = {"leaf": 0}
     t1 = {"leaf": 1}
     model = ClassifierModel(
-        kind="random_forest", params={"trees": [t0, t1], "mtry": 1, "dim": 1}
+        kind="random_forest", params={"trees": [t0, t1], "dim": 1}
     )
     assert predict_batch(model, np.array([0.0])[None, :])[0] == 0
 
@@ -1147,7 +1147,7 @@ def test_trees_identical_to_reference_split():
     taken = Counter()
     rf = fit(ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": 10}, seed=5), ds)
     reference = _reference_forest(X, y, 10, 5, 6, taken)
-    assert rf.params == {"trees": reference, "mtry": 6, "dim": 36}
+    assert rf.params == {"trees": reference, "dim": 36}
     assert taken["fallback"] == 23
     votes = [sum(_reference_tree_predict_one(tree, row) for tree in reference) for row in X]
     assert predict_batch(rf, X).tolist() == [int(2 * v > 10) for v in votes]

@@ -1,12 +1,13 @@
 """Every defaulted parameter of droidlens's public functions and classes
-is passed by some call in the program (``src/`` or ``bench/``), and
-every public method is called there.
+is passed by some call in the program (``src/`` or ``bench/``), every
+public method is called there, and every field of a public dataclass is
+read there outside its own class.
 
 A keyword that only tests pass is an option no command can set, with
 its own validation to keep; a case that needs another value is reached
 by patching a module constant instead.  A method that only tests call
 is code the program does not need; a test that wants it keeps it as a
-helper of its own.
+helper of its own.  So is a record field that only tests read.
 """
 
 import ast
@@ -17,6 +18,9 @@ _ROOT = Path(__file__).resolve().parent.parent
 # Test seams and the credential: the API key (also read from the
 # environment) and the rate limiter's clock and sleep.
 _ALLOWED = {("LabelOracle", name) for name in ("api_key", "clock", "sleep")}
+# Records whose fields only tests read: the tests compare GmmModel's EM
+# parameters with those of a reference EM.
+_UNREAD_FIELDS_ALLOWED = {"GmmModel"}
 
 
 def _defaulted(fn: ast.FunctionDef, bound: bool):
@@ -70,11 +74,43 @@ def _public_methods():
                     yield node.name, item.name
 
 
+def _public_dataclasses():
+    """(class name, field names) for each public dataclass."""
+    for path in sorted((_ROOT / "src" / "droidlens").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            # @dataclass or @dataclass(...)
+            decorators = [getattr(d, "func", d) for d in node.decorator_list]
+            if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                yield node.name, [
+                    item.target.id for item in node.body if isinstance(item, ast.AnnAssign)
+                ]
+
+
+def _program_trees():
+    for path in [*(_ROOT / "src").rglob("*.py"), *(_ROOT / "bench").rglob("*.py")]:
+        yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _attribute_reads():
+    """attribute name -> the top-level classes whose bodies read it as
+    ``obj.name``, with "" for reads outside any class."""
+    reads = {}
+    for tree in _program_trees():
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else ""
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.attr, set()).add(owner)
+    return reads
+
+
 def _program_calls():
     """callee name -> [(positional argument count, keyword names)]."""
     calls = {}
-    for path in [*(_ROOT / "src").rglob("*.py"), *(_ROOT / "bench").rglob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in _program_trees():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -104,3 +140,15 @@ def test_no_public_method_is_test_only():
         f"{cls}.{name}" for cls, name in _public_methods() if name not in calls
     )
     assert unused == []
+
+
+def test_no_record_field_is_test_only():
+    reads = _attribute_reads()
+    unread = sorted(
+        f"{cls}.{name}"
+        for cls, fields in _public_dataclasses()
+        if cls not in _UNREAD_FIELDS_ALLOWED
+        for name in fields
+        if not reads.get(name, set()) - {cls}
+    )
+    assert unread == []
